@@ -1,7 +1,9 @@
 // The complete reproduction in one binary: builds the paper world, runs
 // the regular campaign and the World IPv6 Day event, and prints every
 // figure and table of the paper's evaluation section. CSVs (tables plus
-// the raw per-VP observation dumps) land in ./full_study_out/.
+// the raw per-VP observation dumps) land in ./full_study_out/, which is
+// created if missing; any output that cannot be written makes the run
+// exit 1 (after attempting every other output).
 //
 // Usage: full_study [--metrics] [--config FILE] [--fallback MODE]
 //                   [seed] [scale] [sink]
@@ -25,7 +27,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 #include <vector>
 
 #include "analysis/fallback_view.h"
@@ -43,9 +47,18 @@ using namespace v6mon;
 
 namespace {
 
+const char* const kOutDir = "full_study_out";
+
+/// Set by any output that could not be written; main() then exits 1.
+bool write_failed = false;
+
 void show(const char* title, const util::TextTable& table, const char* csv) {
   std::printf("\n===== %s =====\n%s", title, table.render().c_str());
-  util::write_file(std::string("full_study_out/") + csv, table.to_csv());
+  const std::string path = std::string(kOutDir) + "/" + csv;
+  if (!util::write_file(path, table.to_csv())) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    write_failed = true;
+  }
 }
 
 core::SinkBackend parse_sink(const char* arg) {
@@ -67,16 +80,18 @@ core::FallbackPolicy parse_fallback(const char* arg) {
 /// Stream one store's observation dump straight to disk — no
 /// materialized copy, however many million rows the campaign produced.
 void dump_observations(const core::ResultsDb& db, const std::string& name) {
-  const std::string path = "full_study_out/observations_" + name + ".csv";
+  const std::string path = std::string(kOutDir) + "/observations_" + name + ".csv";
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    write_failed = true;
     return;
   }
   try {
     db.write_csv(out);
   } catch (const IoError& e) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
+    write_failed = true;
   }
 }
 
@@ -123,6 +138,16 @@ int main(int argc, char** argv) {
   if (pos.size() > 0) seed = std::strtoull(pos[0], nullptr, 10);
   if (pos.size() > 1) scale = std::strtod(pos[1], nullptr);
 
+  // Every output lands here, the raw observation dumps first: create it
+  // before any work, and refuse to run when it cannot exist.
+  std::error_code dir_error;
+  std::filesystem::create_directories(kOutDir, dir_error);
+  if (dir_error || !std::filesystem::is_directory(kOutDir)) {
+    std::fprintf(stderr, "cannot create output directory %s: %s\n", kOutDir,
+                 dir_error ? dir_error.message().c_str() : "not a directory");
+    return 1;
+  }
+
   // Enable before the world build so the rib_build stage is captured.
   if (with_metrics) obs::metrics().set_enabled(true);
 
@@ -154,10 +179,7 @@ int main(int argc, char** argv) {
   // The flag overrides a scenario file's fallback.policy, like the
   // positional seed/scale/sink do their keys.
   if (fallback_arg != nullptr) cfg.monitor.fallback = parse_fallback(fallback_arg);
-  if (cfg.sink == core::SinkBackend::kSpool) {
-    util::write_file("full_study_out/.spool_dir", "");  // ensure dir exists
-    cfg.spool_dir = "full_study_out";
-  }
+  if (cfg.sink == core::SinkBackend::kSpool) cfg.spool_dir = kOutDir;
   core::Campaign campaign(timeline, cfg);
   campaign.run();
   campaign.run_w6d();
@@ -249,7 +271,7 @@ int main(int argc, char** argv) {
     metrics.set_gauge("campaign.threads",
                       static_cast<double>(campaign.config().threads));
     std::printf("\n===== Campaign metrics =====\n%s", metrics.summary().c_str());
-    const std::string path = "full_study_out/metrics.json";
+    const std::string path = std::string(kOutDir) + "/metrics.json";
     std::ofstream out(path);
     try {
       if (!out) throw IoError("cannot open " + path);
@@ -261,6 +283,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\nCSV outputs in ./full_study_out/\n");
+  if (write_failed) {
+    std::fprintf(stderr, "some outputs could not be written to ./%s/\n", kOutDir);
+    return 1;
+  }
+  std::printf("\nCSV outputs in ./%s/\n", kOutDir);
   return 0;
 }

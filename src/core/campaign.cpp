@@ -57,12 +57,12 @@ const CampaignMetricIds& campaign_metric_ids() {
 }
 
 /// Dispatch key in a *frozen* campaign (no gate nodes): VPs are the
-/// major axis, so a 1-thread pool replays the legacy VP-major frozen
-/// loop exactly and — more importantly — each vantage point's working
-/// set (monitor, resolved-site table, store) stays cache-hot through
-/// consecutive rounds instead of being evicted by six other VPs every
-/// round. Outputs are schedule-invariant either way (the determinism
-/// matrix pins it); the key choice is purely a locality decision.
+/// major axis, so a 1-thread pool runs each vantage point's rounds back
+/// to back and its working set (monitor, resolved-site table, store)
+/// stays cache-hot through consecutive rounds instead of being evicted
+/// by six other VPs every round. Outputs are schedule-invariant either
+/// way (the determinism matrix pins it); the key choice is purely a
+/// locality decision.
 [[nodiscard]] std::uint64_t node_key_vp_major(std::uint32_t round,
                                               std::size_t vp) {
   return (static_cast<std::uint64_t>(vp) << 20) |
@@ -131,7 +131,6 @@ dns::Resolver::Stats Campaign::dns_stats(std::size_t vp_index) const {
   const DnsTally& t = dns_tallies_.at(vp_index);
   dns::Resolver::Stats s;
   s.queries = t.queries.load(std::memory_order_relaxed);
-  s.cache_hits = t.cache_hits.load(std::memory_order_relaxed);
   s.timeouts = t.timeouts.load(std::memory_order_relaxed);
   s.nxdomain = t.nxdomain.load(std::memory_order_relaxed);
   return s;
@@ -196,7 +195,6 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
       const dns::Resolver::Stats& ds = resolver.stats();
       DnsTally& tally = dns_tallies_[vp_index];
       tally.queries.fetch_add(ds.queries, std::memory_order_relaxed);
-      tally.cache_hits.fetch_add(ds.cache_hits, std::memory_order_relaxed);
       tally.timeouts.fetch_add(ds.timeouts, std::memory_order_relaxed);
       tally.nxdomain.fetch_add(ds.nxdomain, std::memory_order_relaxed);
     }
@@ -261,9 +259,8 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
 
   // Collect this round's work list. The fast path settles v4-only sites
   // inline: with no DNS failure injection their pipeline outcome is
-  // exactly kV4Only.
-  const bool can_fast_path =
-      config_.fast_path && config_.monitor.dns.timeout_prob == 0.0;
+  // exactly kV4Only (Campaign.FastPathMatchesFullPipeline checks it).
+  const bool can_fast_path = config_.monitor.dns.timeout_prob == 0.0;
   std::vector<std::uint32_t> work;
   std::uint64_t listed = 0;
   std::uint64_t fast_pathed = 0;
@@ -285,8 +282,8 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
     work.push_back(id);
   }
   if (fast_pathed != 0) {
-    // Fast-pathed sites still count toward the lane and status totals so
-    // outputs are invariant to the fast_path knob. Batched: the fast path
+    // Fast-pathed sites still count toward the lane and status totals,
+    // exactly as the full pipeline would have. Batched: the fast path
     // covers the vast majority of the catalog, and per-site bookkeeping
     // would cost more than the fast path itself — counters are additive,
     // so one add of `fast_pathed` is byte-identical to that many adds.
@@ -309,7 +306,7 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
   // identically to vp=1, round=0.) The shuffle only permutes the work
   // list; every observable is keyed by (site, round), so outputs are
   // byte-identical under the rekey — tests/determinism_test.cpp pins the
-  // executor/threads/sink matrix against the serial mutex reference and
+  // threads/sink matrix against the serial mutex reference and
   // tests/rng_test.cpp pins the collision-freedom itself.
   util::Rng order =
       util::Rng(config_.seed).child("order", vp_index).child("round", round);
@@ -329,18 +326,14 @@ bool Campaign::graph_covers_pool() const {
 }
 
 void Campaign::run() {
-  if (!config_.use_executor) {
-    run_barriered();
-    return;
-  }
   // Dependency-graph schedule (DESIGN.md §15). Chain nodes per vantage
   // point — (vp, r) waits only on (vp, r-1) — so VPs pipeline through
   // their rounds concurrently. Every *pending* epoch round e gets one
   // advance_world(e) gate node wedged into all chains: it waits on every
-  // (vp, r < e) node and gates every (vp, r >= e) node, which is exactly
-  // the barrier the legacy round-major loop imposed — but only at epoch
-  // rounds, not at all of them. run_round's own pending-epoch REQUIRE
-  // stays satisfied on every schedule the edges admit.
+  // (vp, r < e) node and gates every (vp, r >= e) node — a barrier, but
+  // only at epoch rounds, not at all of them. run_round's own
+  // pending-epoch REQUIRE stays satisfied on every schedule the edges
+  // admit.
   const std::size_t num_vps = world_.vantage_points.size();
   if (num_vps == 0) return;
   V6MON_REQUIRE(num_vps < (1u << 20), "vantage point count exceeds key space");
@@ -384,66 +377,6 @@ void Campaign::run() {
   graph_inline_sites_ = false;
 }
 
-void Campaign::run_barriered() {
-  if (timeline_ == nullptr || timeline_->empty()) {
-    // Frozen world: the original vantage-point-major loop, untouched —
-    // an empty-delta campaign runs exactly the pre-epoch code path.
-    for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
-      for (std::uint32_t round = 0; round <= world_.num_rounds; ++round) {
-        run_round(vp, round);
-      }
-    }
-    return;
-  }
-  // Evolving world: round-major so every vantage point observes round r
-  // under the same world version, and the advance happens while no
-  // measurement is in flight.
-  for (std::uint32_t round = 0; round <= world_.num_rounds; ++round) {
-    advance_world(round);
-    for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
-      run_round(vp, round);
-    }
-  }
-}
-
-void Campaign::run_w6d_for_vp(std::size_t vp_index,
-                              const std::vector<std::uint32_t>& participants) {
-  VpStore& store = w6d_stores_[vp_index];
-  util::LockGuard epoch(store.epoch_mu);
-  // The monitor (and its resolved-site table) is shared with regular
-  // rounds, and run_sites below may grow the table: take the regular
-  // store's epoch mutex too, so all table mutation for this VP
-  // serializes on one lock order (w6d store first, regular store second).
-  util::LockGuard regular_epoch(stores_[vp_index].epoch_mu);
-  for (std::size_t mini = 0; mini < config_.w6d_mini_rounds; ++mini) {
-    // All mini-rounds happen at the W6D calendar round (same DNS state)
-    // but with independent randomness. Each run_sites call is one
-    // ingest epoch, flushed at its end, so a site's mini-round
-    // observations land in mini order.
-    run_sites(vp_index, world_.w6d_round, participants, *store.sink,
-              /*salt=*/0x60d00000ULL + mini);
-  }
-}
-
-void Campaign::run_w6d_on_graph(const std::vector<std::uint32_t>& participants) {
-  // One node per participating vantage point, no edges: a VP's whole
-  // mini-round sequence is one node, so mini ordering and the w6d-store
-  // -> regular-store lock order are inherited verbatim from the legacy
-  // path while different VPs' events run concurrently.
-  Executor exec(pool_);
-  bool any = false;
-  for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
-    if (world_.vantage_points[vp].start_round > world_.w6d_round) continue;
-    exec.add(node_key(0, vp + 1),
-             [this, vp, &participants] { run_w6d_for_vp(vp, participants); });
-    any = true;
-  }
-  if (!any) return;
-  graph_inline_sites_ = graph_covers_pool();
-  exec.run();
-  graph_inline_sites_ = false;
-}
-
 void Campaign::run_w6d() {
   if (world_.w6d_round == web::kNever) return;
   V6MON_REQUIRE(!finalized_, "run_w6d after finalize()");
@@ -455,14 +388,36 @@ void Campaign::run_w6d() {
   for (const web::Site& s : world_.catalog.sites()) {
     if (s.w6d_participant) participants.push_back(s.id);
   }
-  if (config_.use_executor) {
-    run_w6d_on_graph(participants);
-    return;
-  }
+  // One node per participating vantage point, no edges: a VP's whole
+  // mini-round sequence is one node, so its mini-rounds stay in order
+  // while different VPs' events run concurrently.
+  Executor exec(pool_);
+  bool any = false;
   for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
     if (world_.vantage_points[vp].start_round > world_.w6d_round) continue;
-    run_w6d_for_vp(vp, participants);
+    exec.add(node_key(0, vp + 1), [this, vp, &participants] {
+      VpStore& store = w6d_stores_[vp];
+      util::LockGuard epoch(store.epoch_mu);
+      // The monitor (and its resolved-site table) is shared with regular
+      // rounds, and run_sites below may grow the table: take the regular
+      // store's epoch mutex too, so all table mutation for this VP
+      // serializes on one lock order (w6d store first, regular second).
+      util::LockGuard regular_epoch(stores_[vp].epoch_mu);
+      for (std::size_t mini = 0; mini < config_.w6d_mini_rounds; ++mini) {
+        // All mini-rounds happen at the W6D calendar round (same DNS
+        // state) but with independent randomness. Each run_sites call is
+        // one ingest epoch, flushed at its end, so a site's mini-round
+        // observations land in mini order.
+        run_sites(vp, world_.w6d_round, participants, *store.sink,
+                  /*salt=*/0x60d00000ULL + mini);
+      }
+    });
+    any = true;
   }
+  if (!any) return;
+  graph_inline_sites_ = graph_covers_pool();
+  exec.run();
+  graph_inline_sites_ = false;
 }
 
 void Campaign::finalize() {

@@ -32,22 +32,12 @@ struct CampaignConfig {
   /// Root seed for all measurement randomness (derives per-site streams,
   /// so results are independent of thread scheduling).
   std::uint64_t seed = 1;
-  /// Skip the full pipeline for sites without an AAAA record when no DNS
-  /// failure injection is configured (the outcome is provably kV4Only).
-  /// Purely an optimization; tests cover equivalence.
-  bool fast_path = true;
   /// Mini-rounds run during the World IPv6 Day event (the paper monitored
   /// participants every 30 minutes for the day).
   std::size_t w6d_mini_rounds = 12;
   /// Results-ingest backend; a pure performance/memory knob (every
   /// backend reproduces the same bytes).
   SinkBackend sink = SinkBackend::kSharded;
-  /// Schedule run()/run_w6d() as a core::Executor dependency graph (one
-  /// node per (vantage point, round) block, world advances as gate
-  /// nodes) instead of the legacy barriered loops. Pure scheduling knob:
-  /// observables are byte-identical either way (the determinism matrix
-  /// pins it); off exists for A/B benchmarking and bisection.
-  bool use_executor = true;
   /// Directory for SinkBackend::kSpool files (vp<i>.spool and
   /// vp<i>_w6d.spool). Must exist and be writable.
   std::string spool_dir = ".";
@@ -68,19 +58,16 @@ class Campaign {
   /// byte-identical output, no epoch machinery on any path.
   Campaign(WorldTimeline& timeline, CampaignConfig config);
 
-  /// Run all regular rounds for all vantage points. With
-  /// `config.use_executor` (the default) the rounds execute as a
-  /// dependency graph: each (vantage point, round) block is an Executor
-  /// node depending on the same VP's previous round, so different VPs'
-  /// rounds pipeline concurrently; a non-empty timeline adds one
+  /// Run all regular rounds for all vantage points as a dependency
+  /// graph: each (vantage point, round) block is an Executor node
+  /// depending on the same VP's previous round, so different VPs' rounds
+  /// pipeline concurrently; a non-empty timeline adds one
   /// `advance_world(e)` gate node per pending epoch round e, depending
   /// on every (vp, r < e) node and gating every (vp, r >= e) node — all
-  /// VPs observe round r under the same world version, exactly as the
-  /// legacy loops guaranteed with barriers. With the knob off the
-  /// original loops run: vantage-point-major for a frozen world,
-  /// round-major with a per-round advance for an evolving one.
-  /// Observation bytes are identical across all of it — every RNG
-  /// stream is keyed by (vp, round, site), never by schedule order.
+  /// VPs observe round r under the same world version. Observation bytes
+  /// equal those of calling advance_world(r) and then run_round(vp, r)
+  /// for every vp, round by round — every RNG stream is keyed by
+  /// (vp, round, site), never by schedule order.
   void run();
 
   /// Apply every pending world epoch with epoch round <= `round`:
@@ -97,8 +84,9 @@ class Campaign {
   /// one vantage point's store are serialized internally.
   void run_round(std::size_t vp_index, std::uint32_t round);
 
-  /// Run the World IPv6 Day special event for every vantage point.
-  /// No-op when the world has no W6D round.
+  /// Run the World IPv6 Day special event for every vantage point: one
+  /// Executor node per participating VP, each running that VP's
+  /// mini-rounds in order. No-op when the world has no W6D round.
   void run_w6d();
 
   [[nodiscard]] const ResultsDb& results(std::size_t vp_index) const {
@@ -167,14 +155,6 @@ class Campaign {
                  const std::vector<std::uint32_t>& sites, ObservationSink& sink,
                  std::uint64_t salt);
 
-  /// The legacy (pre-executor) run loops, kept verbatim for A/B
-  /// benchmarking and as the bisection reference.
-  void run_barriered();
-  void run_w6d_for_vp(std::size_t vp_index,
-                      const std::vector<std::uint32_t>& participants);
-  /// Graph-mode w6d path (config_.use_executor); the regular-round graph
-  /// is built directly in run().
-  void run_w6d_on_graph(const std::vector<std::uint32_t>& participants);
   /// Whether executor-scheduled nodes should run their site loop inline
   /// (when graph-level VP parallelism already covers the pool) or fan
   /// sites out through parallel_index. Pure scheduling choice.
@@ -200,7 +180,6 @@ class Campaign {
   /// non-negative integers are schedule-independent.
   struct DnsTally {
     std::atomic<std::uint64_t> queries{0};
-    std::atomic<std::uint64_t> cache_hits{0};
     std::atomic<std::uint64_t> timeouts{0};
     std::atomic<std::uint64_t> nxdomain{0};
   };

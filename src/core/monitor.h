@@ -91,7 +91,7 @@ class Monitor {
   Monitor(const World& world, const VantagePoint& vp, MonitorConfig config);
 
   /// Run the pipeline for one site at one round. The resolver carries the
-  /// caller's DNS cache/failure state; `rng` must be dedicated to this
+  /// caller's DNS failure state; `rng` must be dedicated to this
   /// (site, round) so threading cannot reorder draws. Non-const because
   /// it lazily fills the site's resolved-site row on first successful
   /// resolution; safe to call concurrently for *distinct* sites (each

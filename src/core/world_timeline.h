@@ -30,9 +30,9 @@ enum class EpochAdvanceMode : std::uint8_t { kIncremental, kFullRebuild };
 /// byte-identical to one over the bare World.
 ///
 /// Not internally synchronized: `advance_to` mutates the world and must
-/// run while no measurement is in flight. Under the legacy barriered
-/// loops that quiescence is the round boundary; under the campaign's
-/// Executor graph it is structural — every advance runs inside a gate
+/// run while no measurement is in flight. A caller driving rounds by hand
+/// advances between rounds; under the campaign's Executor graph the
+/// quiescence is structural — every advance runs inside a gate
 /// node whose edges order it after all (vp, r < e) nodes and before all
 /// (vp, r >= e) nodes, so the advance still executes globally exclusive.
 /// The read-only accessors (`next_epoch_round`, `pending_epoch_rounds`,

@@ -11,7 +11,6 @@ namespace {
 /// in thread count and sink backend.
 struct DnsMetricIds {
   obs::MetricId queries = obs::metrics().counter("dns.queries");
-  obs::MetricId cache_hits = obs::metrics().counter("dns.cache_hits");
   obs::MetricId timeouts = obs::metrics().counter("dns.timeouts");
   obs::MetricId nxdomain = obs::metrics().counter("dns.nxdomain");
 };
@@ -27,35 +26,17 @@ Resolver::Resolver(const AuthoritativeSource& source, Options options,
                    util::LazyRng rng)
     : source_(source), options_(options), rng_(std::move(rng)) {}
 
-std::string Resolver::cache_key(std::string_view name, RecordType type) {
-  std::string key(name);
-  key += '|';
-  key += record_type_name(type);
-  return key;
-}
-
 QueryResult Resolver::resolve(std::string_view name, RecordType type,
                               std::uint32_t round) {
   ++stats_.queries;
   obs::metrics().add(dns_metric_ids().queries);
-
-  if (options_.cache_rounds > 0) {
-    const auto it = cache_.find(cache_key(name, type));
-    if (it != cache_.end() && round < it->second.expires_round) {
-      ++stats_.cache_hits;
-      obs::metrics().add(dns_metric_ids().cache_hits);
-      QueryResult r = it->second.result;
-      r.from_cache = true;
-      return r;
-    }
-  }
 
   if (options_.timeout_prob > 0.0 && rng_.get().chance(options_.timeout_prob)) {
     ++stats_.timeouts;
     obs::metrics().add(dns_metric_ids().timeouts);
     QueryResult r;
     r.rcode = Rcode::kTimeout;
-    return r;  // timeouts are not cached
+    return r;
   }
 
   QueryResult r;
@@ -66,13 +47,7 @@ QueryResult Resolver::resolve(std::string_view name, RecordType type,
     ++stats_.nxdomain;
     obs::metrics().add(dns_metric_ids().nxdomain);
   }
-
-  if (options_.cache_rounds > 0) {
-    cache_[cache_key(name, type)] = {round + options_.cache_rounds, r};
-  }
   return r;
 }
-
-void Resolver::flush() { cache_.clear(); }
 
 }  // namespace v6mon::dns

@@ -174,10 +174,6 @@ ScenarioSpec parse_scenario(std::string_view text) {
       const std::uint64_t v = parse_u64(value, line_no);
       if (v > kMaxThreads) fail(line_no, "campaign.threads out of range");
       c.threads = static_cast<std::size_t>(v);
-    } else if (key == "campaign.fast_path") {
-      c.fast_path = parse_bool(value, line_no);
-    } else if (key == "campaign.executor") {
-      c.use_executor = parse_bool(value, line_no);
     } else if (key == "campaign.w6d_mini_rounds") {
       const std::uint64_t v = parse_u64(value, line_no);
       if (v > kMaxMiniRounds) fail(line_no, "campaign.w6d_mini_rounds out of range");
@@ -212,10 +208,6 @@ ScenarioSpec parse_scenario(std::string_view text) {
         fail(line_no, "monitor.max_parallel_sites out of range");
       }
       m.max_parallel_sites = static_cast<std::size_t>(v);
-    } else if (key == "dns.cache_rounds") {
-      const std::uint64_t v = parse_u64(value, line_no);
-      if (v > 0xffffffffULL) fail(line_no, "dns.cache_rounds out of range");
-      m.dns.cache_rounds = static_cast<std::uint32_t>(v);
     } else if (key == "dns.timeout_prob") {
       m.dns.timeout_prob = parse_prob(value, line_no, "dns.timeout_prob");
     } else if (key == "download.setup_rtts") {

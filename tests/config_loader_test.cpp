@@ -54,7 +54,6 @@ TEST(ConfigLoader, EveryKeyLands) {
       "world.scale = 0.5\n"
       "campaign.seed = 6\n"
       "campaign.threads = 3\n"
-      "campaign.fast_path = false\n"
       "campaign.w6d_mini_rounds = 12\n"
       "campaign.sink = spool\n"
       "campaign.spool_dir = out/spool\n"
@@ -66,7 +65,6 @@ TEST(ConfigLoader, EveryKeyLands) {
       "monitor.path_quality_sigma = 0.1\n"
       "monitor.fetch_retries = 2\n"
       "monitor.max_parallel_sites = 10\n"
-      "dns.cache_rounds = 3\n"
       "dns.timeout_prob = 0.02\n"
       "download.setup_rtts = 4.5\n"
       "download.window_kB = 64\n"
@@ -90,7 +88,6 @@ TEST(ConfigLoader, EveryKeyLands) {
   const core::CampaignConfig& c = spec.campaign;
   EXPECT_EQ(c.seed, 6u);
   EXPECT_EQ(c.threads, 3u);
-  EXPECT_FALSE(c.fast_path);
   EXPECT_EQ(c.w6d_mini_rounds, 12u);
   EXPECT_EQ(c.sink, core::SinkBackend::kSpool);
   EXPECT_EQ(c.spool_dir, "out/spool");
@@ -103,7 +100,6 @@ TEST(ConfigLoader, EveryKeyLands) {
   EXPECT_DOUBLE_EQ(m.path_quality_sigma, 0.1);
   EXPECT_EQ(m.fetch_retries, 2u);
   EXPECT_EQ(m.max_parallel_sites, 10u);
-  EXPECT_EQ(m.dns.cache_rounds, 3u);
   EXPECT_DOUBLE_EQ(m.dns.timeout_prob, 0.02);
   EXPECT_DOUBLE_EQ(m.download.setup_rtts, 4.5);
   EXPECT_DOUBLE_EQ(m.download.window_kB, 64.0);
@@ -133,9 +129,26 @@ TEST(ConfigLoader, SinkSpellings) {
 }
 
 TEST(ConfigLoader, BoolSpellings) {
-  EXPECT_TRUE(parse_scenario("campaign.fast_path = yes\n").campaign.fast_path);
-  EXPECT_FALSE(parse_scenario("campaign.fast_path = off\n").campaign.fast_path);
-  EXPECT_THROW(parse_scenario("campaign.fast_path = maybe\n"), ParseError);
+  EXPECT_TRUE(parse_scenario("evolution.enabled = yes\n").evolution.enabled);
+  EXPECT_FALSE(parse_scenario("evolution.enabled = off\n").evolution.enabled);
+  EXPECT_THROW(parse_scenario("evolution.enabled = maybe\n"), ParseError);
+}
+
+// Keys that once selected a schedule, a fast path or a DNS cache are gone
+// with the code they configured; a file still setting one must fail like
+// any other unknown key, naming its line.
+TEST(ConfigLoader, RejectsRemovedKeysWithLineNumbers) {
+  for (const char* key :
+       {"campaign.executor = false", "campaign.fast_path = false",
+        "dns.cache_rounds = 3"}) {
+    try {
+      (void)parse_scenario(std::string("world.seed = 1\n") + key + "\n");
+      FAIL() << "accepted: " << key;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos) << e.what();
+    }
+  }
 }
 
 // The strict-rejection contract: drifting input fails loudly, never
@@ -167,7 +180,6 @@ TEST(ConfigLoader, RejectsOutOfDomainValues) {
   EXPECT_THROW(parse_scenario("campaign.threads = 5000\n"), ParseError);
   EXPECT_THROW(parse_scenario("monitor.max_downloads = 70000\n"), ParseError);
   EXPECT_THROW(parse_scenario("monitor.max_parallel_sites = 0\n"), ParseError);
-  EXPECT_THROW(parse_scenario("dns.cache_rounds = 4294967296\n"), ParseError);
   // Values the line parser accepts but MonitorConfig::validate rejects
   // surface as the same ConfigError a programmatic misconfiguration gets.
   EXPECT_THROW(parse_scenario("monitor.min_downloads = 1\n"), ConfigError);

@@ -15,6 +15,7 @@
 #include "analysis/tables.h"
 #include "core/campaign.h"
 #include "scenario/world_builder.h"
+#include "serial_rounds.h"
 
 namespace v6mon::core {
 namespace {
@@ -57,10 +58,17 @@ const World& tiny_world() {
 }
 
 /// Run a complete campaign (regular rounds + W6D + finalize). Heap-held:
-/// Campaign owns a ThreadPool and is therefore not movable.
-std::unique_ptr<Campaign> run_campaign(const World& world, CampaignConfig cfg) {
+/// Campaign owns a ThreadPool and is therefore not movable. With
+/// `serial_rounds` the regular rounds bypass run()'s executor graph and
+/// go through run_rounds_serially instead.
+std::unique_ptr<Campaign> run_campaign(const World& world, CampaignConfig cfg,
+                                       bool serial_rounds = false) {
   auto campaign = std::make_unique<Campaign>(world, std::move(cfg));
-  campaign->run();
+  if (serial_rounds) {
+    run_rounds_serially(*campaign);
+  } else {
+    campaign->run();
+  }
   campaign->run_w6d();
   campaign->finalize();
   return campaign;
@@ -150,17 +158,16 @@ std::unique_ptr<Campaign> run_with(SinkBackend sink, unsigned threads,
                                    std::uint64_t seed, const std::string& spool_dir,
                                    double dns_timeout_prob = 0.0,
                                    double dl_failure_prob = 0.0,
-                                   bool use_executor = true) {
+                                   bool serial_rounds = false) {
   CampaignConfig cfg;
   cfg.seed = seed;
   cfg.threads = threads;
   cfg.sink = sink;
   cfg.spool_dir = spool_dir;
-  cfg.use_executor = use_executor;
   if (sink == SinkBackend::kSpool) std::filesystem::create_directories(spool_dir);
   cfg.monitor.dns.timeout_prob = dns_timeout_prob;
   cfg.monitor.download.failure_prob = dl_failure_prob;
-  return run_campaign(tiny_world(), cfg);
+  return run_campaign(tiny_world(), cfg, serial_rounds);
 }
 
 class SinkBackendMatrix : public ::testing::TestWithParam<SinkBackend> {};
@@ -203,34 +210,28 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, SinkBackendMatrix,
 
 // --- Executor scheduling matrix --------------------------------------------
 //
-// The task-graph executor (ISSUE 10) is a scheduling layer, not a
-// semantic one: campaign.executor {on, off} must be as invisible as the
-// thread count. The reference cell is executor-off, threads=1, mutex
-// sink — the original strictly-serial loop — and every executor-on cell
-// across threads and sink backends must reproduce it byte for byte.
-// This is what licenses `use_executor = true` as the default.
+// The task-graph executor is a scheduling layer, not a semantic one. The
+// reference cell drives the regular rounds by hand (run_rounds_serially:
+// threads=1, mutex sink, no graph), and run()'s graph must reproduce it
+// byte for byte across threads and sink backends.
 TEST(Determinism, ExecutorSchedulingInvisible) {
   const std::string dir = ::testing::TempDir();
   const auto reference = run_with(SinkBackend::kMutex, 1, 2011, dir + "/xref",
-                                  0.0, 0.0, /*use_executor=*/false);
+                                  0.0, 0.0, /*serial_rounds=*/true);
   const struct {
     SinkBackend sink;
     unsigned threads;
-    bool executor;
     const char* tag;
   } cells[] = {
-      {SinkBackend::kMutex, 1, true, "mutex-t1-exec"},
-      {SinkBackend::kMutex, 8, true, "mutex-t8-exec"},
-      {SinkBackend::kMutex, 8, false, "mutex-t8-barrier"},
-      {SinkBackend::kSharded, 8, true, "sharded-t8-exec"},
-      {SinkBackend::kSharded, 8, false, "sharded-t8-barrier"},
-      {SinkBackend::kSpool, 8, true, "spool-t8-exec"},
-      {SinkBackend::kSpool, 8, false, "spool-t8-barrier"},
+      {SinkBackend::kMutex, 1, "mutex-t1"},
+      {SinkBackend::kMutex, 8, "mutex-t8"},
+      {SinkBackend::kSharded, 8, "sharded-t8"},
+      {SinkBackend::kSpool, 8, "spool-t8"},
   };
   for (const auto& cell : cells) {
     SCOPED_TRACE(cell.tag);
-    const auto run = run_with(cell.sink, cell.threads, 2011,
-                              dir + "/x-" + cell.tag, 0.0, 0.0, cell.executor);
+    const auto run =
+        run_with(cell.sink, cell.threads, 2011, dir + "/x-" + cell.tag, 0.0, 0.0);
     expect_identical_observables(*reference, *run);
     EXPECT_EQ(table4_csv(*reference), table4_csv(*run));
   }
@@ -242,9 +243,9 @@ TEST(Determinism, ExecutorSchedulingInvisible) {
 TEST(Determinism, ExecutorSchedulingInvisibleUnderFailureInjection) {
   const std::string dir = ::testing::TempDir();
   const auto reference = run_with(SinkBackend::kMutex, 1, 404, dir + "/xfref",
-                                  0.2, 0.05, /*use_executor=*/false);
+                                  0.2, 0.05, /*serial_rounds=*/true);
   const auto executor = run_with(SinkBackend::kSharded, 8, 404, dir + "/xf8",
-                                 0.2, 0.05, /*use_executor=*/true);
+                                 0.2, 0.05);
   expect_identical_observables(*reference, *executor);
   EXPECT_EQ(table4_csv(*reference), table4_csv(*executor));
 }

@@ -55,7 +55,6 @@ TEST(Resolver, ResolvesAndCountsStats) {
   const auto res = r.resolve("www.example.test", RecordType::kA, 0);
   EXPECT_TRUE(res.has_answers());
   EXPECT_EQ(res.rcode, Rcode::kOk);
-  EXPECT_FALSE(res.from_cache);
   const auto nx = r.resolve("nope.example.test", RecordType::kA, 0);
   EXPECT_EQ(nx.rcode, Rcode::kNxDomain);
   EXPECT_EQ(r.stats().queries, 2u);
@@ -70,37 +69,30 @@ TEST(Resolver, NodataIsOkButEmpty) {
   EXPECT_FALSE(res.has_answers());
 }
 
-TEST(Resolver, CachingWithinTtl) {
+TEST(Resolver, EveryQueryReachesTheSource) {
+  // No answer is reused: repeating a query, in the same round or a later
+  // one, asks the authoritative source again and counts again.
   const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 2, .timeout_prob = 0.0}, util::Rng(1));
-  EXPECT_FALSE(r.resolve("www.example.test", RecordType::kA, 0).from_cache);
-  EXPECT_TRUE(r.resolve("www.example.test", RecordType::kA, 1).from_cache);
-  // Round 2 = expiry (0 + 2): fresh query.
-  EXPECT_FALSE(r.resolve("www.example.test", RecordType::kA, 2).from_cache);
-  EXPECT_EQ(r.stats().cache_hits, 1u);
+  Resolver r(db, {}, util::Rng(1));
+  for (std::uint32_t round = 0; round < 3; ++round) {
+    EXPECT_TRUE(r.resolve("www.example.test", RecordType::kA, round).has_answers());
+    EXPECT_TRUE(r.resolve("www.example.test", RecordType::kA, round).has_answers());
+  }
+  EXPECT_EQ(r.stats().queries, 6u);
 }
 
-TEST(Resolver, CacheKeysIncludeType) {
+TEST(Resolver, AnswersMatchQueryType) {
   const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 5, .timeout_prob = 0.0}, util::Rng(1));
+  Resolver r(db, {}, util::Rng(1));
   (void)r.resolve("www.example.test", RecordType::kA, 0);
   const auto aaaa = r.resolve("www.example.test", RecordType::kAaaa, 0);
-  EXPECT_FALSE(aaaa.from_cache);
   ASSERT_EQ(aaaa.records.size(), 1u);
   EXPECT_EQ(aaaa.records[0].type, RecordType::kAaaa);
 }
 
-TEST(Resolver, FlushDropsCache) {
-  const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 10, .timeout_prob = 0.0}, util::Rng(1));
-  (void)r.resolve("www.example.test", RecordType::kA, 0);
-  r.flush();
-  EXPECT_FALSE(r.resolve("www.example.test", RecordType::kA, 0).from_cache);
-}
-
 TEST(Resolver, TimeoutInjection) {
   const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 0, .timeout_prob = 1.0}, util::Rng(1));
+  Resolver r(db, {.timeout_prob = 1.0}, util::Rng(1));
   const auto res = r.resolve("www.example.test", RecordType::kA, 0);
   EXPECT_EQ(res.rcode, Rcode::kTimeout);
   EXPECT_EQ(r.stats().timeouts, 1u);
@@ -108,7 +100,7 @@ TEST(Resolver, TimeoutInjection) {
 
 TEST(Resolver, TimeoutRateApproximatesConfig) {
   const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 0, .timeout_prob = 0.2}, util::Rng(2));
+  Resolver r(db, {.timeout_prob = 0.2}, util::Rng(2));
   int timeouts = 0;
   const int n = 5000;
   for (int i = 0; i < n; ++i) {

@@ -27,6 +27,7 @@
 #include "core/world_delta.h"
 #include "scenario/evolution.h"
 #include "scenario/world_builder.h"
+#include "serial_rounds.h"
 #include "util/error.h"
 
 namespace v6mon::core {
@@ -91,13 +92,20 @@ struct EvolvingRun {
   std::unique_ptr<Campaign> campaign;
 };
 
+/// `serial_rounds` drives the regular rounds through run_rounds_serially
+/// instead of run()'s executor graph.
 EvolvingRun run_evolving(const scenario::WorldSpec& spec, CampaignConfig cfg,
-                         EpochAdvanceMode mode = EpochAdvanceMode::kIncremental) {
+                         EpochAdvanceMode mode = EpochAdvanceMode::kIncremental,
+                         bool serial_rounds = false) {
   EvolvingRun run;
   run.timeline = std::make_unique<WorldTimeline>(scenario::build_timeline(spec));
   run.timeline->set_advance_mode(mode);
   run.campaign = std::make_unique<Campaign>(*run.timeline, std::move(cfg));
-  run.campaign->run();
+  if (serial_rounds) {
+    run_rounds_serially(*run.campaign);
+  } else {
+    run.campaign->run();
+  }
   run.campaign->run_w6d();
   run.campaign->finalize();
   return run;
@@ -136,43 +144,36 @@ TEST(WorldTimeline, EmptyTimelineCampaignIsByteIdenticalToFrozenWorld) {
 
 TEST(WorldTimeline, EvolvingCampaignThreadAndSinkInvisible) {
   const scenario::WorldSpec spec = evolving_spec();
-  // Reference: executor off — the legacy round-major loop whose barrier
-  // at every round boundary is the historical quiescence guarantee for
-  // advance_to. Every executor-on cell (gate-node quiescence instead)
-  // must reproduce it byte for byte, across threads and sinks.
+  // Reference: the rounds driven by hand, round-major, advancing the
+  // world at every round boundary (run_rounds_serially). Every run()
+  // cell — gate-node quiescence instead — must reproduce it byte for
+  // byte, across threads and sinks.
   CampaignConfig ref_cfg;
   ref_cfg.seed = 2011;
   ref_cfg.threads = 1;
   ref_cfg.sink = SinkBackend::kMutex;
-  ref_cfg.use_executor = false;
-  const auto reference = run_evolving(spec, ref_cfg);
+  const auto reference =
+      run_evolving(spec, ref_cfg, EpochAdvanceMode::kIncremental, /*serial_rounds=*/true);
   ASSERT_GT(reference.timeline->num_epochs(), 0u)
       << "evolving_spec produced no epochs; the matrix tests nothing";
   EXPECT_EQ(reference.timeline->current_epoch(), reference.timeline->num_epochs());
 
   const std::string dir = ::testing::TempDir();
   int cell = 0;
-  for (const bool use_exec : {true, false}) {
-    for (const unsigned threads : {1u, 8u}) {
-      for (const SinkBackend sink :
-           {SinkBackend::kMutex, SinkBackend::kSharded, SinkBackend::kSpool}) {
-        if (!use_exec && threads == 1 && sink == SinkBackend::kMutex) {
-          continue;  // the reference cell itself
-        }
-        SCOPED_TRACE("executor=" + std::to_string(use_exec) +
-                     " threads=" + std::to_string(threads) +
-                     " sink=" + std::to_string(static_cast<int>(sink)));
-        CampaignConfig cfg = ref_cfg;
-        cfg.threads = threads;
-        cfg.sink = sink;
-        cfg.use_executor = use_exec;
-        cfg.spool_dir = dir + "/evo" + std::to_string(cell++);
-        if (sink == SinkBackend::kSpool) {
-          std::filesystem::create_directories(cfg.spool_dir);
-        }
-        const auto run = run_evolving(spec, cfg);
-        expect_identical_observables(*reference.campaign, *run.campaign);
+  for (const unsigned threads : {1u, 8u}) {
+    for (const SinkBackend sink :
+         {SinkBackend::kMutex, SinkBackend::kSharded, SinkBackend::kSpool}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " sink=" + std::to_string(static_cast<int>(sink)));
+      CampaignConfig cfg = ref_cfg;
+      cfg.threads = threads;
+      cfg.sink = sink;
+      cfg.spool_dir = dir + "/evo" + std::to_string(cell++);
+      if (sink == SinkBackend::kSpool) {
+        std::filesystem::create_directories(cfg.spool_dir);
       }
+      const auto run = run_evolving(spec, cfg);
+      expect_identical_observables(*reference.campaign, *run.campaign);
     }
   }
 }
