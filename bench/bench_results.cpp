@@ -13,15 +13,21 @@
 // sharded backend touches no shared state until flush. (The intern
 // probe itself costs the same hash + map lookup in every backend; it is
 // deliberately amortized here so the numbers isolate the sink seam.)
+//
+// BM_WriteObservationsCsv times the export layer on its own: the CSV
+// dump of a finalized store into a streambuf that discards the bytes, so
+// only formatting and chunking are measured, not a disk.
 
 #include <atomic>
 #include <chrono>
+#include <streambuf>
 #include <thread>
 #include <vector>
 
 #include "common.h"
 #include "core/results.h"
 #include "core/sink.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -121,6 +127,76 @@ void BM_IngestSharded(benchmark::State& state) {
   bm_ingest<core::ShardedSink>(state);
 }
 BENCHMARK(BM_IngestSharded)->Arg(1)->Arg(8)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+/// Accepts and drops every byte; counts them so the work is observable.
+class DiscardStreambuf : public std::streambuf {
+ public:
+  [[nodiscard]] std::size_t bytes() const { return bytes_; }
+
+ protected:
+  int overflow(int c) override {
+    ++bytes_;
+    return c;
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes_ += static_cast<std::size_t>(n);
+    return n;
+  }
+
+ private:
+  std::size_t bytes_ = 0;
+};
+
+constexpr std::uint32_t kExportSites = 6250;
+constexpr std::uint32_t kExportRounds = 40;
+
+/// Fill `store` like one VP's campaign: 6,250 sites over 40 rounds (250k
+/// rows), mostly measured, on the path pool above with lognormal speeds;
+/// then finalize it.
+void fill_export_store(core::ResultsDb& store) {
+  const auto pool = path_pool();
+  std::vector<core::PathId> ids;
+  for (const auto& path : pool) ids.push_back(store.paths().intern(path));
+  util::Rng rng(2011);
+  for (std::uint32_t round = 0; round < kExportRounds; ++round) {
+    for (std::uint32_t site = 0; site < kExportSites; ++site) {
+      core::Observation o;
+      o.site = site;
+      o.round = round;
+      o.status = rng.chance(0.9) ? core::MonitorStatus::kMeasured
+                                 : core::MonitorStatus::kDifferentContent;
+      o.v4_speed_kBps = static_cast<float>(rng.lognormal_median(150.0, 1.0));
+      o.v6_speed_kBps = static_cast<float>(rng.lognormal_median(120.0, 1.2));
+      o.v4_samples = static_cast<std::uint16_t>(rng.uniform_int(3, 20));
+      o.v6_samples = static_cast<std::uint16_t>(rng.uniform_int(3, 20));
+      const std::size_t p4 = (site * 7u) % ids.size();
+      const std::size_t p6 = (site * 13u + 1) % ids.size();
+      o.v4_path = ids[p4];
+      o.v6_path = ids[p6];
+      o.v4_origin = pool[p4].back();
+      o.v6_origin = pool[p6].back();
+      store.add(o);
+    }
+  }
+  store.finalize();
+}
+
+void BM_WriteObservationsCsv(benchmark::State& state) {
+  core::ResultsDb db;
+  fill_export_store(db);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    DiscardStreambuf buf;
+    std::ostream out(&buf);
+    db.write_csv(out);
+    bytes = buf.bytes();
+    benchmark::DoNotOptimize(bytes);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kExportSites * kExportRounds);
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_WriteObservationsCsv)->Unit(benchmark::kMillisecond);
 
 void emit() {
   // No reproduced paper table here — this benchmark measures the results

@@ -1,8 +1,10 @@
 #include "core/results.h"
 
 #include <algorithm>
+#include <charconv>
 #include <numeric>
 #include <sstream>
+#include <string_view>
 
 #include "util/contracts.h"
 #include "util/error.h"
@@ -53,13 +55,17 @@ std::size_t PathRegistry::size() const {
 
 std::string PathRegistry::to_string(PathId id) const {
   if (id == kNoPath) return "-";
-  std::ostringstream out;
-  const auto p = path(id);
+  // A reference, not a copy: interned paths live in deque storage and are
+  // never modified or moved, so rendering after path() unlocks is safe.
+  const std::vector<topo::Asn>& p = path(id);
+  if (p.empty()) return "(local)";
+  std::string out;
+  char num[16];
   for (std::size_t i = 0; i < p.size(); ++i) {
-    if (i) out << ' ';
-    out << "AS" << p[i];
+    out += i ? " AS" : "AS";
+    out.append(num, std::to_chars(num, num + sizeof num, p[i]).ptr);
   }
-  return p.empty() ? "(local)" : out.str();
+  return out;
 }
 
 // --- Counters ---------------------------------------------------------------
@@ -261,31 +267,106 @@ void ResultsDb::finalize() {
   finalized_ = true;
 }
 
-void ResultsDb::write_rows_csv(std::ostream& out, const Observation* rows,
-                               std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Observation& o = rows[i];
-    out << o.site << ',' << o.round << ',' << monitor_status_name(o.status) << ','
-        << o.v4_speed_kBps << ',' << o.v6_speed_kBps << ',' << o.v4_samples << ','
-        << o.v6_samples << ',';
-    if (o.v4_origin != topo::kNoAs) out << o.v4_origin;
-    out << ',';
-    if (o.v6_origin != topo::kNoAs) out << o.v6_origin;
-    out << ',' << paths_.to_string(o.v4_path) << ',' << paths_.to_string(o.v6_path)
-        << '\n';
+namespace {
+
+/// Rows are appended here and handed to the stream in chunks of about
+/// this many bytes: one write per chunk, never a whole dump in memory.
+constexpr std::size_t kCsvChunkBytes = 64 * 1024;
+
+/// Streams observation rows as CSV text. Numbers go through
+/// std::to_chars (speeds as `%.6g` in the C locale, which is what a
+/// default-state `ostream << float` prints), so the bytes never depend on
+/// the destination stream's flags or locale. Path text is rendered at most
+/// once per id per dump.
+class ObservationCsvWriter {
+ public:
+  ObservationCsvWriter(std::ostream& out, const PathRegistry& paths)
+      : out_(out), paths_(paths), path_text_(paths.size()) {
+    buf_.reserve(kCsvChunkBytes + 512);
+    buf_ +=
+        "site,round,status,v4_speed_kBps,v6_speed_kBps,v4_samples,v6_samples,"
+        "v4_origin,v6_origin,v4_path,v6_path\n";
   }
-}
+
+  void row(const ObservationColumns& c, std::size_t i) {
+    // Longest fixed part: six integers of at most 10 digits, the longest
+    // status name (18), two `%.6g` floats (at most 12 each), 9 commas.
+    char line[160];
+    char* p = line;
+    char* const end = line + sizeof line;
+    p = std::to_chars(p, end, c.site[i]).ptr;
+    *p++ = ',';
+    p = std::to_chars(p, end, c.round[i]).ptr;
+    *p++ = ',';
+    const std::string_view status = monitor_status_name(c.status[i]);
+    p = std::copy(status.begin(), status.end(), p);
+    *p++ = ',';
+    p = std::to_chars(p, end, c.v4_speed_kBps[i], std::chars_format::general, 6).ptr;
+    *p++ = ',';
+    p = std::to_chars(p, end, c.v6_speed_kBps[i], std::chars_format::general, 6).ptr;
+    *p++ = ',';
+    p = std::to_chars(p, end, c.v4_samples[i]).ptr;
+    *p++ = ',';
+    p = std::to_chars(p, end, c.v6_samples[i]).ptr;
+    *p++ = ',';
+    if (c.v4_origin[i] != topo::kNoAs) p = std::to_chars(p, end, c.v4_origin[i]).ptr;
+    *p++ = ',';
+    if (c.v6_origin[i] != topo::kNoAs) p = std::to_chars(p, end, c.v6_origin[i]).ptr;
+    *p++ = ',';
+    buf_.append(line, p);
+    append_path(c.v4_path[i]);
+    buf_ += ',';
+    append_path(c.v6_path[i]);
+    buf_ += '\n';
+    if (buf_.size() >= kCsvChunkBytes) write_chunk();
+  }
+
+  /// Hand over the last partial chunk and flush the stream.
+  void finish() {
+    write_chunk();
+    out_.flush();
+    check_stream();
+  }
+
+ private:
+  void append_path(PathId id) {
+    if (id == kNoPath) {
+      buf_ += '-';
+      return;
+    }
+    V6MON_REQUIRE(id < path_text_.size(), "path id out of range");
+    std::string& text = path_text_[id];
+    if (text.empty()) text = paths_.to_string(id);  // never empty once rendered
+    buf_ += text;
+  }
+
+  void write_chunk() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+    check_stream();
+  }
+
+  /// A dump that hit a full disk or bad streambuf must surface at once —
+  /// a silently truncated CSV is indistinguishable from a small campaign,
+  /// and formatting the rest of a dump nobody receives is wasted work.
+  void check_stream() const {
+    if (out_.fail()) throw IoError("observation CSV write failed (stream in fail state)");
+  }
+
+  std::ostream& out_;
+  const PathRegistry& paths_;
+  std::vector<std::string> path_text_;  ///< Indexed by PathId; "" = not yet rendered.
+  std::string buf_;
+};
+
+}  // namespace
 
 void ResultsDb::write_csv(std::ostream& out) const {
-  out << "site,round,status,v4_speed_kBps,v6_speed_kBps,v4_samples,v6_samples,"
-         "v4_origin,v6_origin,v4_path,v6_path\n";
+  ObservationCsvWriter writer(out, paths_);
   if (finalized_) {
     // Columns are already site-major and round-sorted: stream straight
-    // through, one row at a time.
-    for (std::size_t i = 0; i < cols_.size(); ++i) {
-      const Observation o = cols_.row(i);
-      write_rows_csv(out, &o, 1);
-    }
+    // through.
+    for (std::size_t i = 0; i < cols_.size(); ++i) writer.row(cols_, i);
   } else {
     // Unfinalized store (tests, partial dumps): order like the finalized
     // dump's grouping — sites ascending, insertion order within a site.
@@ -299,12 +380,12 @@ void ResultsDb::write_csv(std::ostream& out) const {
                      [](const Observation& a, const Observation& b) {
                        return a.site < b.site;
                      });
-    write_rows_csv(out, rows.data(), rows.size());
+    ObservationColumns cols;
+    cols.reserve(rows.size());
+    for (const Observation& o : rows) cols.push_back(o);
+    for (std::size_t i = 0; i < cols.size(); ++i) writer.row(cols, i);
   }
-  // A dump that hit a full disk or bad streambuf must surface — a
-  // silently truncated CSV is indistinguishable from a small campaign.
-  out.flush();
-  if (out.fail()) throw IoError("observation CSV write failed (stream in fail state)");
+  writer.finish();
 }
 
 std::string ResultsDb::to_csv() const {

@@ -262,8 +262,11 @@ class ResultsDb {
   void finalize();
   [[nodiscard]] bool finalized() const { return finalized_; }
 
-  /// Stream the observation dump (sorted by site, round) as CSV — no
-  /// materialized copy of the rows.
+  /// Stream the observation dump (sorted by site, round) as CSV in chunks
+  /// of about 64 KiB — no materialized copy of the dump. The bytes do not
+  /// depend on `out`'s formatting flags, precision or locale: numbers are
+  /// written with std::to_chars, speeds as `%.6g` in the C locale. Throws
+  /// IoError as soon as a chunk write leaves `out` failed.
   void write_csv(std::ostream& out) const;
   /// Convenience wrapper over write_csv for small stores and tests.
   [[nodiscard]] std::string to_csv() const;
@@ -293,8 +296,6 @@ class ResultsDb {
   bool finalized_ = false;  ///< Phase-published (see cols_).
 
   RoundCounters& round_slot(std::uint32_t round) V6MON_REQUIRES(mu_);
-  void write_rows_csv(std::ostream& out, const Observation* rows,
-                      std::size_t n) const;
 };
 
 /// Read-only abstraction the analysis layer consumes: per-site series,

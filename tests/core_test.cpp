@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/campaign.h"
 #include "core/monitor.h"
@@ -9,6 +14,7 @@
 #include "scenario/paper.h"
 #include "scenario/world_builder.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "web/dns_backend.h"
 
 namespace v6mon::core {
@@ -119,6 +125,124 @@ TEST(ResultsDb, CsvContainsObservations) {
   const std::string csv = db.to_csv();
   EXPECT_NE(csv.find("3,1,measured,50,45"), std::string::npos);
   EXPECT_NE(csv.find("AS5 AS12"), std::string::npos);
+}
+
+TEST(ResultsDb, CsvRowEdgeCases) {
+  ResultsDb db;
+  Observation o;
+  o.site = 4;
+  o.round = 2;
+  o.status = MonitorStatus::kV6DownloadFailed;  // origins kNoAs, v4 path kNoPath
+  o.v6_path = db.paths().intern({});
+  db.add(o);
+  const std::string csv = db.to_csv();
+  EXPECT_EQ(csv.substr(csv.find('\n') + 1), "4,2,v6-download-failed,0,0,0,0,,,-,(local)\n");
+}
+
+/// `n` rows over a handful of sites, inserted site-interleaved with
+/// ascending rounds per site, on paths of 1-4 hops (enough bytes to span
+/// several write chunks).
+void add_mixed_rows(ResultsDb& db, std::uint32_t n) {
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Observation o;
+    o.site = (i * 7919u) % 97u;
+    o.round = i / 97u;
+    o.status = i % 5 == 0 ? MonitorStatus::kDifferentContent : MonitorStatus::kMeasured;
+    o.v4_speed_kBps = static_cast<float>(i) * 0.37f;
+    o.v6_speed_kBps = 1000.0f / static_cast<float>(i + 1);
+    o.v4_samples = static_cast<std::uint16_t>(i % 9);
+    o.v6_samples = static_cast<std::uint16_t>(i % 11);
+    std::vector<topo::Asn> path;
+    for (std::uint32_t h = 0; h <= i % 4; ++h) path.push_back(64500 + (i + h) % 300);
+    o.v4_path = db.paths().intern(path);
+    o.v4_origin = path.back();
+    if (i % 3 != 0) {
+      path.push_back(174);
+      o.v6_path = db.paths().intern(path);
+      o.v6_origin = 174;
+    }
+    db.add(o);
+  }
+}
+
+TEST(ResultsDb, CsvFinalizedMatchesUnfinalized) {
+  ResultsDb staged;
+  ResultsDb finalized;
+  add_mixed_rows(staged, 20000);
+  add_mixed_rows(finalized, 20000);
+  finalized.finalize();
+  const std::string csv = staged.to_csv();
+  EXPECT_GT(csv.size(), 3u * 64 * 1024);
+  EXPECT_EQ(csv, finalized.to_csv());
+}
+
+TEST(ResultsDb, CsvIgnoresCallerStreamFlags) {
+  ResultsDb db;
+  add_mixed_rows(db, 500);
+  db.finalize();
+  std::ostringstream flagged;
+  flagged.precision(2);
+  flagged << std::fixed;
+  db.write_csv(flagged);
+  EXPECT_EQ(flagged.str(), db.to_csv());
+}
+
+/// The speed fields of a CSV dump of `values` (two per row, in order).
+std::vector<std::string> csv_speed_fields(const std::vector<float>& values) {
+  ResultsDb db;
+  for (std::size_t i = 0; i + 1 < values.size(); i += 2) {
+    Observation o;
+    o.site = static_cast<std::uint32_t>(i / 2);
+    o.v4_speed_kBps = values[i];
+    o.v6_speed_kBps = values[i + 1];
+    db.add(o);
+  }
+  std::istringstream csv(db.to_csv());
+  std::string line;
+  std::getline(csv, line);  // header
+  std::vector<std::string> fields;
+  while (std::getline(csv, line)) {
+    std::istringstream row(line);
+    std::string field;
+    for (int col = 0; col < 5 && std::getline(row, field, ','); ++col) {
+      if (col >= 3) fields.push_back(field);
+    }
+  }
+  return fields;
+}
+
+/// The speed text must be byte-identical to what a default-state
+/// ostream prints for the same float.
+void expect_speeds_match_ostream(const std::vector<float>& values) {
+  const std::vector<std::string> fields = csv_speed_fields(values);
+  ASSERT_EQ(fields.size(), values.size());
+  std::ostringstream oracle;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    oracle.str("");
+    oracle << values[i];
+    ASSERT_EQ(fields[i], oracle.str()) << "float bits 0x" << std::hex
+                                       << std::bit_cast<std::uint32_t>(values[i]);
+  }
+}
+
+TEST(ResultsDb, CsvSpeedsMatchStreamFormattingOnEdgeCases) {
+  const float lim_max = std::numeric_limits<float>::max();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  expect_speeds_match_ostream({0.0f,      1.0f,      42.0f,      100.0f,     123456.0f,
+                               1234567.0f, 16777216.0f, 1e-5f,    0.0001f,    999999.5f,
+                               1e6f,      1.234565f, 9.999995f,  0.1234565f, 123456.5f,
+                               99999.95f, 2.5e-7f,   1e-38f,     lim_max,    denorm});
+}
+
+TEST(ResultsDb, CsvSpeedsMatchStreamFormattingOnRandomBits) {
+  util::Rng rng(2011);
+  constexpr std::uint32_t kMaxFinite = 0x7f7fffffu;  // bit pattern of FLT_MAX
+  constexpr std::size_t kBatch = 1 << 16;
+  for (int batch = 0; batch < 16; ++batch) {  // 2^20 floats
+    std::vector<float> values(kBatch);
+    for (float& v : values) v = std::bit_cast<float>(rng.uniform_u32(0, kMaxFinite));
+    expect_speeds_match_ostream(values);
+  }
 }
 
 // --- Monitor pipeline on a small world -----------------------------------

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <streambuf>
@@ -31,6 +32,31 @@ class FailingStreambuf : public std::streambuf {
  protected:
   int overflow(int) override { return traits_type::eof(); }
   std::streamsize xsputn(const char*, std::streamsize) override { return 0; }
+};
+
+/// A streambuf that accepts the first `limit` bytes, then refuses the
+/// rest — a disk that fills up partway through a dump. Counts the write
+/// calls it receives.
+class FillingStreambuf : public std::streambuf {
+ public:
+  explicit FillingStreambuf(std::streamsize limit) : left_(limit) {}
+  [[nodiscard]] int writes() const { return writes_; }
+
+ protected:
+  int overflow(int c) override {
+    const char ch = traits_type::to_char_type(c);
+    return xsputn(&ch, 1) == 1 ? c : traits_type::eof();
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    ++writes_;
+    const std::streamsize taken = std::min(n, left_);
+    left_ -= taken;
+    return taken;
+  }
+
+ private:
+  std::streamsize left_;
+  int writes_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -236,6 +262,28 @@ TEST(ResultsCsv, WriteCsvSurfacesFailedStream) {
   FailingStreambuf buf;
   std::ostream out(&buf);
   EXPECT_THROW(db.write_csv(out), IoError);
+}
+
+TEST(ResultsCsv, WriteCsvStopsAtFirstFailedChunk) {
+  core::ResultsDb db;
+  const core::PathId path = db.paths().intern({3356, 2914, 64500});
+  for (std::uint32_t i = 0; i < 20000; ++i) {  // about 1.8 MB of CSV
+    core::Observation o;
+    o.site = i;
+    o.status = core::MonitorStatus::kMeasured;
+    o.v4_speed_kBps = 123.456f;
+    o.v6_speed_kBps = 98.7654f;
+    o.v4_path = path;
+    o.v6_path = path;
+    o.v4_origin = 64500;
+    o.v6_origin = 64500;
+    db.add(o);
+  }
+  db.finalize();
+  FillingStreambuf buf(100 * 1000);  // fails inside the second chunk
+  std::ostream out(&buf);
+  EXPECT_THROW(db.write_csv(out), IoError);
+  EXPECT_EQ(buf.writes(), 2);  // one write per chunk; nothing after the failure
 }
 
 TEST(ResultsCsv, WriteCsvToHealthyStreamStillWorks) {
