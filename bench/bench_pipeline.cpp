@@ -23,11 +23,13 @@
 
 #include <cstdlib>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/report.h"
 #include "bgp/rib.h"
+#include "bgp/route_computer.h"
 #include "core/campaign.h"
 #include "core/monitor.h"
 #include "core/world_timeline.h"
@@ -81,6 +83,42 @@ void BM_RibBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RibBuild)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
+/// The convergence kernel on its own: serial compute_routes_to over a
+/// fixed sample of build_ribs' sorted destination list (every AS hosting
+/// a site presence), on the paper-scale family view the argument names
+/// (4 or 6; the v6 sample keeps only IPv6-speaking destinations). One
+/// iteration converges the whole sample; `per_table` is the time per
+/// table (seconds, so the console's "80u" reads 80 µs).
+void BM_RouteTable(benchmark::State& state) {
+  const core::World& world = shared_world();
+  const ip::Family family =
+      state.range(0) == 4 ? ip::Family::kIpv4 : ip::Family::kIpv6;
+  std::set<topo::Asn> dest_set;
+  for (const web::Site& s : world.catalog.sites()) {
+    dest_set.insert(s.v4_as);
+    if (s.v6_from_round != web::kNever) dest_set.insert(s.v6_as);
+  }
+  std::vector<topo::Asn> dests;
+  for (const topo::Asn d : dest_set) {
+    if (family == ip::Family::kIpv4 || world.graph.node(d).has_v6) dests.push_back(d);
+  }
+  constexpr std::size_t kSample = 256;
+  std::vector<topo::Asn> sample;
+  for (std::size_t i = 0; i < kSample && !dests.empty(); ++i) {
+    sample.push_back(dests[i * dests.size() / kSample]);
+  }
+  const bgp::FamilyView view(world.graph, family);
+  for (auto _ : state) {
+    for (const topo::Asn d : sample) {
+      benchmark::DoNotOptimize(bgp::compute_routes_to(view, d));
+    }
+  }
+  state.counters["per_table"] = benchmark::Counter(
+      static_cast<double>(sample.size()),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RouteTable)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 void BM_CampaignRound(benchmark::State& state) {
   const core::World& world = shared_world();

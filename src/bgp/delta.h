@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "bgp/route_computer.h"
 #include "topo/as_graph.h"
@@ -41,14 +42,25 @@ struct DeltaStats {
 /// Algorithm: withdrawn next-hops seed an invalidation closure over the
 /// dependents frontier (y depends on x iff next_hop(y) == x, and y is
 /// then a view-neighbor of x, so no reverse index is needed); the
-/// closure plus all change endpoints form a worklist that is re-run
-/// through the declarative route selection in synchronous rounds until
-/// quiescent. Cost is proportional to the perturbed region's degree
-/// sum, not the graph. A round budget of 2·|AS|+64 guards the
+/// closure plus every added-link endpoint whose held route the new link
+/// beats form a worklist that is re-run through the declarative route
+/// selection in synchronous rounds until quiescent. A changed route
+/// re-queues only the neighbors whose candidate from it moved: its
+/// customers when its length or reachability moved, its providers and
+/// peers when its downhill (customer-class) offer did. Cost is
+/// proportional to the perturbed region's degree sum, not the graph, and
+/// a table the changes cannot improve is left after O(|changes|) probes. A round budget of 2·|AS|+64 guards the
 /// count-to-infinity corner (a withdrawal that disconnects a region);
 /// on exhaustion the table is rebuilt from scratch — still
 /// byte-identical, just not incremental (stats.fell_back).
+///
+/// When `rerouted` is given, every AS whose route was withdrawn or
+/// re-selected is appended to it (possibly more than once), so a caller
+/// can tell which next-hop chains moved: a chain none of whose ASes is
+/// listed is the one it was before. After a fallback the list is
+/// incomplete — treat every chain as moved.
 DeltaStats compute_routes_delta(const FamilyView& view, RouteTable& table,
-                                std::span<const EdgeChange> changes);
+                                std::span<const EdgeChange> changes,
+                                std::vector<topo::Asn>* rerouted = nullptr);
 
 }  // namespace v6mon::bgp

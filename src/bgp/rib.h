@@ -57,6 +57,11 @@ class Rib {
   /// lookups. Returns false when no exact entry existed.
   bool erase_v6(const ip::Ipv6Prefix& prefix) { return v6_.erase(prefix); }
 
+  /// Exact-match lookup of an installed v6 prefix; nullptr when absent.
+  [[nodiscard]] const RibEntry* find_v6(const ip::Ipv6Prefix& prefix) const {
+    return v6_.find(prefix);
+  }
+
   /// Longest-prefix-match lookups; nullptr when the table has no route.
   [[nodiscard]] const RibEntry* lookup_v4(const ip::Ipv4Address& a) const {
     return v4_.lookup(a);

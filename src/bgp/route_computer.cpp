@@ -1,7 +1,6 @@
 #include "bgp/route_computer.h"
 
 #include <cassert>
-#include <queue>
 #include <string_view>
 
 #include "util/contracts.h"
@@ -47,18 +46,16 @@ std::uint64_t tie_break_rank(std::uint64_t prefix, std::uint64_t index) {
 RouteTable::RouteTable(Asn dest, ip::Family family, std::size_t num_ases)
     : dest_(dest),
       family_(family),
-      next_hop_(num_ases, kNoAs),
-      cls_(num_ases, RouteClass::kNone),
-      length_(num_ases, 0) {}
+      routes_(num_ases) {}
 
 std::vector<Asn> RouteTable::as_path(Asn src) const {
   std::vector<Asn> path;
-  if (src == dest_ || cls_[src] == RouteClass::kNone) return path;
-  path.reserve(length_[src]);
+  if (src == dest_ || routes_[src].cls == RouteClass::kNone) return path;
+  path.reserve(routes_[src].length);
   Asn cur = src;
   while (cur != dest_) {
-    const Asn nh = next_hop_[cur];
-    if (nh == kNoAs || path.size() > next_hop_.size()) {
+    const Asn nh = routes_[cur].next_hop;
+    if (nh == kNoAs || path.size() > routes_.size()) {
       throw Error("corrupt route table: broken next-hop chain");
     }
     path.push_back(nh);
@@ -66,7 +63,7 @@ std::vector<Asn> RouteTable::as_path(Asn src) const {
   }
   V6MON_ENSURE(!path.empty() && path.back() == dest_,
                "AS_PATH must terminate at the destination");
-  V6MON_ENSURE(path.size() == length_[src],
+  V6MON_ENSURE(path.size() == routes_[src].length,
                "selected route length disagrees with the next-hop chain");
   return path;
 }
@@ -74,19 +71,46 @@ std::vector<Asn> RouteTable::as_path(Asn src) const {
 FamilyView::FamilyView(const AsGraph& graph, ip::Family family)
     : family_(family) {
   const std::size_t n = graph.num_ases();
-  offsets_.assign(n + 1, 0);
+  bounds_.resize(3 * n + 1);
+  for (Asn u = 0; u < n; ++u) append_runs(graph, u, bounds_, neighbors_);
+  bounds_[3 * n] = static_cast<std::uint32_t>(neighbors_.size());
+}
+
+void FamilyView::refresh(const AsGraph& graph, std::span<const Asn> dirty) {
+  const std::size_t n = num_ases();
+  std::vector<char> is_dirty(n, 0);
+  for (Asn u : dirty) is_dirty[u] = 1;
+  std::vector<std::uint32_t> bounds(3 * n + 1);
+  std::vector<Asn> neighbors;
+  neighbors.reserve(neighbors_.size() + 2 * dirty.size());
   for (Asn u = 0; u < n; ++u) {
-    for (const Adjacency& adj : graph.adjacencies(u)) {
-      if (graph.link_in_family(adj.link_id, family)) ++offsets_[u + 1];
+    if (is_dirty[u] != 0) {
+      append_runs(graph, u, bounds, neighbors);
+      continue;
     }
+    const std::size_t first = 3 * std::size_t{u};
+    for (std::size_t k = 0; k < 3; ++k) {
+      bounds[first + k] = static_cast<std::uint32_t>(neighbors.size()) +
+                          (bounds_[first + k] - bounds_[first]);
+    }
+    neighbors.insert(neighbors.end(), neighbors_.begin() + bounds_[first],
+                     neighbors_.begin() + bounds_[first + 3]);
   }
-  for (std::size_t u = 0; u < n; ++u) offsets_[u + 1] += offsets_[u];
-  edges_.resize(offsets_[n]);
-  std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (Asn u = 0; u < n; ++u) {
-    for (const Adjacency& adj : graph.adjacencies(u)) {
-      if (!graph.link_in_family(adj.link_id, family)) continue;
-      edges_[cursor[u]++] = Edge{adj.neighbor, adj.role};
+  bounds[3 * n] = static_cast<std::uint32_t>(neighbors.size());
+  bounds_.swap(bounds);
+  neighbors_.swap(neighbors);
+}
+
+void FamilyView::append_runs(const AsGraph& graph, Asn asn,
+                             std::vector<std::uint32_t>& bounds,
+                             std::vector<Asn>& neighbors) const {
+  constexpr Role kRunRoles[3] = {Role::kProvider, Role::kPeer, Role::kCustomer};
+  for (std::size_t k = 0; k < 3; ++k) {
+    bounds[3 * std::size_t{asn} + k] = static_cast<std::uint32_t>(neighbors.size());
+    for (const Adjacency& adj : graph.adjacencies(asn)) {
+      if (adj.role == kRunRoles[k] && graph.link_in_family(adj.link_id, family_)) {
+        neighbors.push_back(adj.neighbor);
+      }
     }
   }
 }
@@ -121,103 +145,87 @@ RouteTable compute_routes_to(const FamilyView& view, Asn dest) {
                                   (static_cast<std::uint64_t>(at) << 32) | via);
   };
 
-  t.cls_[dest] = RouteClass::kOrigin;
-  t.length_[dest] = 0;
+  t.routes_[dest].cls = RouteClass::kOrigin;
+
+  // Every hop adds exactly one to the length, and each stage below visits
+  // the exporting ASes in order of their selected length — a bucket
+  // queue, where Dijkstra's heap is unnecessary. An AS's first offer is
+  // therefore final in length, and a later offer of the same class and
+  // length can only win the tie-break. The winner is the minimum tie
+  // rank whatever the visiting order inside a length, so each stage is
+  // free to touch only the role run it reads, and only at ASes that hold
+  // a route to export.
+  auto offer = [&](Asn x, RouteClass cls, std::uint16_t len, Asn via,
+                   std::vector<Asn>& taken) {
+    RouteTable::Route& r = t.routes_[x];
+    if (r.cls == RouteClass::kNone) {
+      r = RouteTable::Route{via, len, cls};
+      taken.push_back(x);
+    } else if (r.cls == cls && r.length == len &&
+               tie_rank(x, via) < tie_rank(x, r.next_hop)) {
+      r.next_hop = via;
+    }
+  };
+  auto next_len = [&](Asn u) {
+    return static_cast<std::uint16_t>(t.routes_[u].length + 1);
+  };
 
   // ---- Stage 1: customer routes -----------------------------------------
   // A route announced by the destination climbs provider chains: every AS
   // on an all-downhill path to `dest` selects a customer route. BFS from
-  // the destination over customer->provider edges; level order gives the
-  // shortest path, and within a level the lowest next-hop ASN wins.
-  std::vector<Asn> frontier{dest};
-  std::vector<Asn> next_frontier;
-  std::uint16_t level = 0;
-  while (!frontier.empty()) {
-    ++level;
-    next_frontier.clear();
-    for (Asn u : frontier) {
-      for (const FamilyView::Edge* e = view.edges_begin(u); e != view.edges_end(u);
-           ++e) {
-        if (e->role != Role::kProvider) continue;  // u's provider hears the route
-        const Asn p = e->neighbor;
-        if (t.cls_[p] == RouteClass::kOrigin) continue;
-        if (t.cls_[p] == RouteClass::kCustomer) {
-          if (t.length_[p] == level &&
-              tie_rank(p, u) < tie_rank(p, t.next_hop_[p])) {
-            t.next_hop_[p] = u;
-          }
-          continue;
-        }
-        t.cls_[p] = RouteClass::kCustomer;
-        t.length_[p] = level;
-        t.next_hop_[p] = u;
-        next_frontier.push_back(p);
-      }
+  // the destination over customer->provider edges; `customer_routes` is
+  // the FIFO queue, so it ends up ordered by length.
+  std::vector<Asn> customer_routes{dest};
+  for (std::size_t i = 0; i < customer_routes.size(); ++i) {
+    const Asn u = customer_routes[i];
+    for (Asn p : view.providers(u)) {  // u's providers hear the route
+      offer(p, RouteClass::kCustomer, next_len(u), u, customer_routes);
     }
-    frontier.swap(next_frontier);
   }
 
   // ---- Stage 2: peer routes ----------------------------------------------
   // An AS without a customer route can reach `dest` through a peer that
   // has one (valley-free: a peer edge may only be followed by downhill
-  // edges — which a customer route is made of).
-  for (Asn x = 0; x < n; ++x) {
-    if (t.cls_[x] == RouteClass::kCustomer || t.cls_[x] == RouteClass::kOrigin) continue;
-    for (const FamilyView::Edge* e = view.edges_begin(x); e != view.edges_end(x);
-         ++e) {
-      if (e->role != Role::kPeer) continue;
-      const Asn y = e->neighbor;
-      if (t.cls_[y] != RouteClass::kCustomer && t.cls_[y] != RouteClass::kOrigin) continue;
-      const std::uint16_t cand = static_cast<std::uint16_t>(t.length_[y] + 1);
-      if (t.cls_[x] != RouteClass::kPeer || cand < t.length_[x] ||
-          (cand == t.length_[x] &&
-           tie_rank(x, y) < tie_rank(x, t.next_hop_[x]))) {
-        t.cls_[x] = RouteClass::kPeer;
-        t.length_[x] = cand;
-        t.next_hop_[x] = y;
-      }
-    }
+  // edges — which a customer route is made of). Peering is symmetric, so
+  // walking the peer runs of the customer routes in length order finds
+  // every peer route, again ordered by length.
+  std::vector<Asn> peer_routes;
+  for (Asn y : customer_routes) {
+    for (Asn x : view.peers(y)) offer(x, RouteClass::kPeer, next_len(y), y, peer_routes);
   }
 
   // ---- Stage 3: provider routes -------------------------------------------
   // Providers export their *selected* route (whatever its class) to
-  // customers, and those provider routes chain further down. Dijkstra over
-  // (length, asn) keyed pops; every AS already holding a customer/peer
-  // route is a fixed seed (its selection cannot be displaced by a provider
-  // route — class preference dominates).
-  using Key = std::pair<std::uint32_t, Asn>;  // (selected length, asn)
-  std::priority_queue<Key, std::vector<Key>, std::greater<>> pq;
-  for (Asn x = 0; x < n; ++x) {
-    if (t.cls_[x] != RouteClass::kNone) pq.push({t.length_[x], x});
-  }
-  std::vector<char> finalized(n, 0);
-  while (!pq.empty()) {
-    const auto [len, u] = pq.top();
-    pq.pop();
-    if (finalized[u] || len != t.length_[u]) continue;
-    finalized[u] = 1;
-    for (const FamilyView::Edge* e = view.edges_begin(u); e != view.edges_end(u);
-         ++e) {
-      if (e->role != Role::kCustomer) continue;  // u exports to its customers
-      const Asn c = e->neighbor;
-      if (t.cls_[c] == RouteClass::kOrigin || t.cls_[c] == RouteClass::kCustomer ||
-          t.cls_[c] == RouteClass::kPeer) {
-        continue;  // better class already selected
-      }
-      const std::uint16_t cand = static_cast<std::uint16_t>(t.length_[u] + 1);
-      if (t.cls_[c] == RouteClass::kNone || cand < t.length_[c]) {
-        t.cls_[c] = RouteClass::kProvider;
-        t.length_[c] = cand;
-        t.next_hop_[c] = u;
-        pq.push({cand, c});
-      } else if (cand == t.length_[c] &&
-                 tie_rank(c, u) < tie_rank(c, t.next_hop_[c])) {
-        t.next_hop_[c] = u;  // tie-break; length unchanged, no re-push needed
-      }
+  // customers, and those provider routes chain further down. Every AS
+  // already holding a customer/peer route is a fixed seed (class
+  // preference dominates, so no provider route can displace it). Level
+  // `len` exports the seeds of that length, merged from the two
+  // length-ordered lists, and the provider routes taken one level up.
+  std::vector<Asn> level_routes;  // provider routes of the current length
+  std::vector<Asn> next_routes;
+  auto export_down = [&](Asn u) {
+    for (Asn c : view.customers(u)) {  // u exports to its customers
+      offer(c, RouteClass::kProvider, next_len(u), u, next_routes);
     }
+  };
+  std::size_t ci = 0;
+  std::size_t pi = 0;
+  for (std::size_t len = 0; ci < customer_routes.size() ||
+                            pi < peer_routes.size() || !level_routes.empty();
+       ++len) {
+    next_routes.clear();
+    for (; ci < customer_routes.size() && t.routes_[customer_routes[ci]].length == len;
+         ++ci) {
+      export_down(customer_routes[ci]);
+    }
+    for (; pi < peer_routes.size() && t.routes_[peer_routes[pi]].length == len; ++pi) {
+      export_down(peer_routes[pi]);
+    }
+    for (Asn u : level_routes) export_down(u);
+    level_routes.swap(next_routes);
   }
 
-  V6MON_ENSURE(t.cls_[dest] == RouteClass::kOrigin && t.length_[dest] == 0,
+  V6MON_ENSURE(t.routes_[dest].cls == RouteClass::kOrigin && t.routes_[dest].length == 0,
                "the destination must keep its origin route");
   return t;
 }

@@ -29,37 +29,64 @@ enum class RouteClass : std::uint8_t { kNone, kOrigin, kCustomer, kPeer, kProvid
   return "?";
 }
 
-/// Immutable one-family projection of the AS graph in CSR (compressed
-/// sparse row) form: per-AS adjacency runs filtered down to the links the
-/// family actually carries, with the role resolved inline. Built in one
-/// O(V+E) pass and then shared — read-only — by every compute_routes_to
-/// call for that family, so converging thousands of destinations stops
-/// paying the per-edge link_in_family lookup and the AsLink indirection,
-/// and parallel workers share one cache-friendly structure. Edge order
-/// per AS is exactly AsGraph::adjacencies order (filtered), so route
-/// selection is bit-identical to computing straight off the graph.
+/// One-family projection of the AS graph in CSR (compressed sparse row)
+/// form: per AS, three runs of neighbor ASNs — its providers,
+/// its peers, its customers — filtered down to the links the family
+/// actually carries. Built in one O(V+E) pass and then shared — read-only
+/// — by every compute_routes_to call for that family, so converging
+/// thousands of destinations stops paying the per-edge link_in_family
+/// lookup and the AsLink indirection, and parallel workers share one
+/// cache-friendly structure. Each stage of the computation reads exactly
+/// one role, so splitting by role removes the role test from every hot
+/// loop and halves the edge to a bare 4-byte ASN. Each run keeps
+/// AsGraph::adjacencies order (filtered), so route selection is
+/// bit-identical to computing straight off the graph.
 class FamilyView {
  public:
-  struct Edge {
-    topo::Asn neighbor = topo::kNoAs;
-    topo::Role role = topo::Role::kPeer;  ///< What `neighbor` is to the owner.
-  };
-
   FamilyView(const topo::AsGraph& graph, ip::Family family);
 
+  /// Re-derive the runs of the `dirty` ASes from `graph` and keep every
+  /// other AS's runs. Equals FamilyView(graph, family()) when the only
+  /// links that joined or left the family since are incident to a dirty
+  /// AS — the epoch engine's per-epoch update, far cheaper than a
+  /// rebuild.
+  void refresh(const topo::AsGraph& graph, std::span<const topo::Asn> dirty);
+
   [[nodiscard]] ip::Family family() const { return family_; }
-  [[nodiscard]] std::size_t num_ases() const { return offsets_.size() - 1; }
-  [[nodiscard]] const Edge* edges_begin(topo::Asn asn) const {
-    return edges_.data() + offsets_[asn];
+  [[nodiscard]] std::size_t num_ases() const { return (bounds_.size() - 1) / 3; }
+
+  /// Neighbors that are `asn`'s providers / peers / customers.
+  [[nodiscard]] std::span<const topo::Asn> providers(topo::Asn asn) const {
+    return run(3 * std::size_t{asn}, 1);
   }
-  [[nodiscard]] const Edge* edges_end(topo::Asn asn) const {
-    return edges_.data() + offsets_[asn + 1];
+  [[nodiscard]] std::span<const topo::Asn> peers(topo::Asn asn) const {
+    return run(3 * std::size_t{asn} + 1, 1);
+  }
+  [[nodiscard]] std::span<const topo::Asn> customers(topo::Asn asn) const {
+    return run(3 * std::size_t{asn} + 2, 1);
+  }
+  /// All three runs back to back: providers, then peers, then customers.
+  [[nodiscard]] std::span<const topo::Asn> neighbors(topo::Asn asn) const {
+    return run(3 * std::size_t{asn}, 3);
   }
 
  private:
+  /// Append `asn`'s three runs, read off `graph`, to `neighbors` and
+  /// record where they start in `bounds`.
+  void append_runs(const topo::AsGraph& graph, topo::Asn asn,
+                   std::vector<std::uint32_t>& bounds,
+                   std::vector<topo::Asn>& neighbors) const;
+  /// `runs` consecutive runs starting at run index `first`.
+  [[nodiscard]] std::span<const topo::Asn> run(std::size_t first,
+                                               std::size_t runs) const {
+    return {neighbors_.data() + bounds_[first], bounds_[first + runs] - bounds_[first]};
+  }
+
   ip::Family family_;
-  std::vector<std::uint32_t> offsets_;  ///< size num_ases + 1
-  std::vector<Edge> edges_;
+  /// size 3·num_ases + 1; run k (0 providers, 1 peers, 2 customers) of AS
+  /// u is neighbors_[bounds_[3u+k], bounds_[3u+k+1]).
+  std::vector<std::uint32_t> bounds_;
+  std::vector<topo::Asn> neighbors_;
 };
 
 /// Best routes from *every* AS toward one destination AS, in one family.
@@ -67,7 +94,10 @@ class FamilyView {
 /// BGP convergence is destination-rooted, so this is the natural unit of
 /// computation: stage 1 propagates customer routes up provider chains,
 /// stage 2 extends them one peer hop, stage 3 floods provider routes
-/// downhill (Dijkstra over selected-route lengths). Selection prefers
+/// downhill (a bucket queue over selected-route lengths: every hop adds
+/// one, so a provider route is final when first assigned). Each stage
+/// walks one FamilyView role run, and the whole table costs O(V + E) in
+/// the edges that role touches. Selection prefers
 /// customer > peer > provider, then shortest AS path, then a stable
 /// per-(AS, neighbor, destination) hash — deterministic, but spreading
 /// ties across neighbors the way router-id/route-age tie-breaks do in
@@ -80,12 +110,12 @@ class RouteTable {
   [[nodiscard]] ip::Family family() const { return family_; }
 
   [[nodiscard]] bool reachable(topo::Asn src) const {
-    return cls_[src] != RouteClass::kNone;
+    return routes_[src].cls != RouteClass::kNone;
   }
-  [[nodiscard]] RouteClass route_class(topo::Asn src) const { return cls_[src]; }
+  [[nodiscard]] RouteClass route_class(topo::Asn src) const { return routes_[src].cls; }
   /// AS-path length in edges (0 at the destination itself).
-  [[nodiscard]] unsigned path_length(topo::Asn src) const { return length_[src]; }
-  [[nodiscard]] topo::Asn next_hop(topo::Asn src) const { return next_hop_[src]; }
+  [[nodiscard]] unsigned path_length(topo::Asn src) const { return routes_[src].length; }
+  [[nodiscard]] topo::Asn next_hop(topo::Asn src) const { return routes_[src].next_hop; }
 
   /// Full AS_PATH from `src`: [first-hop, ..., dest]. Empty when src is
   /// the destination or has no route. Mirrors what `show ip bgp` would
@@ -100,13 +130,21 @@ class RouteTable {
   friend RouteTable compute_routes_to(const topo::AsGraph&, ip::Family, topo::Asn);
   friend RouteTable compute_routes_to(const FamilyView&, topo::Asn);
   friend DeltaStats compute_routes_delta(const FamilyView&, RouteTable&,
-                                         std::span<const EdgeChange>);
+                                         std::span<const EdgeChange>,
+                                         std::vector<topo::Asn>*);
+
+  /// One AS's selected route, packed in 8 bytes so that reading or
+  /// writing it touches one cache line.
+  struct Route {
+    topo::Asn next_hop = topo::kNoAs;
+    std::uint16_t length = 0;
+    RouteClass cls = RouteClass::kNone;
+    bool operator==(const Route&) const = default;
+  };
 
   topo::Asn dest_;
   ip::Family family_;
-  std::vector<topo::Asn> next_hop_;
-  std::vector<RouteClass> cls_;
-  std::vector<std::uint16_t> length_;
+  std::vector<Route> routes_;
 };
 
 /// Run the three-stage Gao-Rexford computation for one destination over a

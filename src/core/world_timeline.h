@@ -1,12 +1,14 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "bgp/delta.h"
 #include "bgp/route_computer.h"
+#include "core/thread_pool.h"
 #include "core/world.h"
 #include "core/world_delta.h"
 
@@ -93,7 +95,22 @@ class WorldTimeline {
   /// AS the delta stream will ever make a destination). Built on the
   /// first advance, so an empty timeline costs nothing.
   bool engine_ready_ = false;
-  std::map<topo::Asn, bgp::RouteTable> v6_tables_;
+  std::vector<bgp::RouteTable> v6_tables_;  ///< Ascending by dest().
+  /// The IPv6 view those tables converge over, refreshed at the
+  /// endpoints of each epoch's link changes.
+  std::optional<bgp::FamilyView> view_;
+  /// Tracked destinations whose VP RIB entries may differ from what their
+  /// table implies: found out of step when the engine is built (the RIB
+  /// build installs only site hosts), or named since by a delta that
+  /// moves what the entries must hold (has_v6, prefixes, a granted
+  /// AAAA). Every other tracked destination is in step at each epoch
+  /// boundary, so its entries need rewriting only where a VP's chain
+  /// moves. A stale destination is rewritten at every VP at its next
+  /// change; prefix and AAAA deltas change it in the same epoch.
+  std::set<topo::Asn> rib_stale_;
+  /// Workers for the table build and the per-epoch re-convergence, kept
+  /// from the first advance on.
+  std::unique_ptr<ThreadPool> pool_;
   std::vector<EpochStats> stats_;
 };
 

@@ -35,6 +35,22 @@ OriginMap OriginMap::build(const AsGraph& graph) {
   return m;
 }
 
+void OriginMap::refresh_v6(const AsGraph& graph, const ip::Ipv6Prefix& prefix) {
+  // build() lets the last announcer in ASN order win a shared prefix.
+  std::optional<Asn> origin;
+  for (std::size_t i = 0; i < graph.num_ases(); ++i) {
+    const AsNode& n = graph.node(static_cast<Asn>(i));
+    for (const auto& p : n.v6_prefixes) {
+      if (p == prefix) origin = n.asn;
+    }
+  }
+  if (origin.has_value()) {
+    v6_.insert(prefix, *origin);
+  } else {
+    v6_.erase(prefix);
+  }
+}
+
 std::optional<Asn> OriginMap::origin_v4(const ip::Ipv4Address& a) const {
   const Asn* asn = v4_.lookup(a);
   if (asn == nullptr) return std::nullopt;

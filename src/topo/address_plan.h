@@ -31,6 +31,9 @@ void assign_addresses(AsGraph& graph, const AddressPlanParams& params,
 class OriginMap {
  public:
   static OriginMap build(const AsGraph& graph);
+  /// Re-derive the IPv6 origin of `prefix` from `graph` after an epoch
+  /// announced or withdrew it: lookups then answer as build(graph)'s do.
+  void refresh_v6(const AsGraph& graph, const ip::Ipv6Prefix& prefix);
 
   [[nodiscard]] std::optional<Asn> origin_v4(const ip::Ipv4Address& a) const;
   [[nodiscard]] std::optional<Asn> origin_v6(const ip::Ipv6Address& a) const;

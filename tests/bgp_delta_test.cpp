@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "bgp/route_computer.h"
@@ -189,6 +190,46 @@ TEST(BgpDelta, IncrementalMatchesRebuildAcrossEpochsV4) {
   view = FamilyView(pre, ip::Family::kIpv4);
   expect_oracle(view, tables, changes);
 }
+
+// --- Random churn: links of every role come and go in mixed batches -------
+
+class RandomChurn : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomChurn, IncrementalMatchesRebuildEveryEpoch) {
+  util::Rng rng(GetParam());
+  const AsGraph full = topo::generate_topology(small_params(), rng);
+  // A pool of toggling links of both relationships; each epoch flips a
+  // random subset, so one batch mixes additions and removals.
+  std::vector<std::uint32_t> pool;
+  for (std::uint32_t id = 0; id < full.num_links(); ++id) {
+    if (rng.chance(0.12)) pool.push_back(id);
+  }
+  ASSERT_GE(pool.size(), 8u);
+  std::vector<char> present(pool.size(), 0);
+  auto absent_links = [&] {
+    std::vector<std::uint32_t> out;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (present[i] == 0) out.push_back(pool[i]);
+    }
+    return out;
+  };
+  FamilyView view(clone_without(full, absent_links()), ip::Family::kIpv4);
+  std::vector<RouteTable> tables = all_dest_tables(view);
+  for (int epoch = 0; epoch < 5; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    std::vector<EdgeChange> changes;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (!rng.chance(0.3)) continue;
+      present[i] ^= 1;
+      const topo::AsLink& l = full.link(pool[i]);
+      changes.push_back({l.a, l.b, /*added=*/present[i] != 0});
+    }
+    view = FamilyView(clone_without(full, absent_links()), ip::Family::kIpv4);
+    expect_oracle(view, tables, changes);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomChurn, ::testing::Values(11, 12, 13, 14, 15, 16));
 
 // --- Edge cases -----------------------------------------------------------
 

@@ -281,5 +281,48 @@ TEST(OriginMap, ResolvesHostAddressesToOwningAs) {
   EXPECT_FALSE(om.origin_v6(ip::Ipv6Address::parse_or_throw("fe80::1")).has_value());
 }
 
+// The epoch engine updates the origin map one prefix at a time; after any
+// mix of announcements (including one shared by two ASes) and
+// withdrawals, lookups must answer exactly as a fresh build's do.
+TEST(OriginMap, RefreshV6MatchesRebuild) {
+  util::Rng rng(16);
+  AsGraph g = generate_topology(small_params(), rng);
+  assign_addresses(g, {}, rng);
+  OriginMap om = OriginMap::build(g);
+  std::vector<Asn> v6_ases;
+  for (std::size_t i = 0; i < g.num_ases(); ++i) {
+    if (g.node(static_cast<Asn>(i)).has_v6) v6_ases.push_back(static_cast<Asn>(i));
+  }
+  ASSERT_GE(v6_ases.size(), 3u);
+  const auto extra = ip::Ipv6Prefix::parse_or_throw("2001:db8:77::/48");
+  const auto shared = ip::Ipv6Prefix::parse_or_throw("2001:db8:78::/48");
+  const Asn a = v6_ases[0];
+  const Asn b = v6_ases[1];
+  const Asn c = v6_ases[2];
+  const auto host = [](const ip::Ipv6Prefix& p) {
+    return ip::offset_address(p.network(), 9, 128);
+  };
+  auto expect_as_built = [&] {
+    const OriginMap fresh = OriginMap::build(g);
+    for (const auto& p : {extra, shared, g.node(c).v6_prefixes.front()}) {
+      EXPECT_EQ(om.origin_v6(host(p)), fresh.origin_v6(host(p)));
+    }
+  };
+  g.node(a).v6_prefixes.push_back(extra);  // announce
+  om.refresh_v6(g, extra);
+  expect_as_built();
+  g.node(b).v6_prefixes.push_back(shared);  // one prefix, two announcers
+  g.node(c).v6_prefixes.push_back(shared);
+  om.refresh_v6(g, shared);
+  expect_as_built();
+  g.node(c).v6_prefixes.pop_back();  // withdraw one of them
+  om.refresh_v6(g, shared);
+  expect_as_built();
+  g.node(a).v6_prefixes.pop_back();  // withdraw the last announcer
+  om.refresh_v6(g, extra);
+  expect_as_built();
+  EXPECT_FALSE(om.origin_v6(host(extra)).has_value());
+}
+
 }  // namespace
 }  // namespace v6mon::topo

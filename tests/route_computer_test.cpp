@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <string>
+
+#include "scenario/world_builder.h"
 #include "topo/generator.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -264,6 +268,164 @@ TEST_P(RandomTopologyPaths, AllPathsValid) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTopologyPaths,
                          ::testing::Values(21, 22, 23, 24, 25));
 
+// --- Independent oracle ------------------------------------------------------
+//
+// The three-stage computation as first written: a priority-queue Dijkstra
+// for stage 3, a role test on every edge, and the graph's adjacency lists
+// filtered by link_in_family on the fly (no FamilyView). compute_routes_to
+// must reproduce it exactly — class, length and next hop at every AS.
+
+struct ReferenceTable {
+  std::vector<Asn> next_hop;
+  std::vector<RouteClass> cls;
+  std::vector<std::uint16_t> length;
+};
+
+ReferenceTable reference_routes_to(const AsGraph& g, ip::Family family, Asn dest) {
+  const std::size_t n = g.num_ases();
+  ReferenceTable t{std::vector<Asn>(n, topo::kNoAs),
+                   std::vector<RouteClass>(n, RouteClass::kNone),
+                   std::vector<std::uint16_t>(n, 0)};
+  auto tie_rank = [dest](Asn at, Asn via) {
+    return util::hash_combine(dest, "bgp-tie",
+                              (static_cast<std::uint64_t>(at) << 32) | via);
+  };
+  auto edges = [&](Asn u, topo::Role role, auto&& fn) {
+    for (const topo::Adjacency& adj : g.adjacencies(u)) {
+      if (adj.role == role && g.link_in_family(adj.link_id, family)) fn(adj.neighbor);
+    }
+  };
+  t.cls[dest] = RouteClass::kOrigin;
+
+  // Stage 1: customer routes climb provider chains, level by level.
+  std::vector<Asn> frontier{dest};
+  std::vector<Asn> next_frontier;
+  std::uint16_t level = 0;
+  while (!frontier.empty()) {
+    ++level;
+    next_frontier.clear();
+    for (Asn u : frontier) {
+      edges(u, topo::Role::kProvider, [&](Asn p) {
+        if (t.cls[p] == RouteClass::kOrigin) return;
+        if (t.cls[p] == RouteClass::kCustomer) {
+          if (t.length[p] == level && tie_rank(p, u) < tie_rank(p, t.next_hop[p])) {
+            t.next_hop[p] = u;
+          }
+          return;
+        }
+        t.cls[p] = RouteClass::kCustomer;
+        t.length[p] = level;
+        t.next_hop[p] = u;
+        next_frontier.push_back(p);
+      });
+    }
+    frontier.swap(next_frontier);
+  }
+
+  // Stage 2: one peer hop onto a customer route.
+  for (Asn x = 0; x < n; ++x) {
+    if (t.cls[x] == RouteClass::kCustomer || t.cls[x] == RouteClass::kOrigin) continue;
+    edges(x, topo::Role::kPeer, [&](Asn y) {
+      if (t.cls[y] != RouteClass::kCustomer && t.cls[y] != RouteClass::kOrigin) return;
+      const auto cand = static_cast<std::uint16_t>(t.length[y] + 1);
+      if (t.cls[x] != RouteClass::kPeer || cand < t.length[x] ||
+          (cand == t.length[x] && tie_rank(x, y) < tie_rank(x, t.next_hop[x]))) {
+        t.cls[x] = RouteClass::kPeer;
+        t.length[x] = cand;
+        t.next_hop[x] = y;
+      }
+    });
+  }
+
+  // Stage 3: Dijkstra over (length, asn) pops, exporting downhill.
+  using Key = std::pair<std::uint32_t, Asn>;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> pq;
+  for (Asn x = 0; x < n; ++x) {
+    if (t.cls[x] != RouteClass::kNone) pq.push({t.length[x], x});
+  }
+  std::vector<char> finalized(n, 0);
+  while (!pq.empty()) {
+    const auto [len, u] = pq.top();
+    pq.pop();
+    if (finalized[u] != 0 || len != t.length[u]) continue;
+    finalized[u] = 1;
+    edges(u, topo::Role::kCustomer, [&](Asn c) {
+      if (t.cls[c] != RouteClass::kNone && t.cls[c] != RouteClass::kProvider) return;
+      const auto cand = static_cast<std::uint16_t>(t.length[u] + 1);
+      if (t.cls[c] == RouteClass::kNone || cand < t.length[c]) {
+        t.cls[c] = RouteClass::kProvider;
+        t.length[c] = cand;
+        t.next_hop[c] = u;
+        pq.push({cand, c});
+      } else if (cand == t.length[c] && tie_rank(c, u) < tie_rank(c, t.next_hop[c])) {
+        t.next_hop[c] = u;
+      }
+    });
+  }
+  return t;
+}
+
+/// compute_routes_to == reference_routes_to toward every destination, in
+/// both families.
+void expect_matches_reference(const AsGraph& g) {
+  for (const ip::Family family : {ip::Family::kIpv4, ip::Family::kIpv6}) {
+    const FamilyView view(g, family);
+    for (Asn dest = 0; dest < g.num_ases(); ++dest) {
+      const RouteTable t = compute_routes_to(view, dest);
+      const ReferenceTable ref = reference_routes_to(g, family, dest);
+      ASSERT_EQ(t.dest(), dest);
+      ASSERT_EQ(t.family(), family);
+      for (Asn src = 0; src < g.num_ases(); ++src) {
+        ASSERT_EQ(t.route_class(src), ref.cls[src])
+            << ip::family_name(family) << " dest=" << dest << " src=" << src;
+        ASSERT_EQ(t.path_length(src), ref.length[src])
+            << ip::family_name(family) << " dest=" << dest << " src=" << src;
+        ASSERT_EQ(t.next_hop(src), ref.next_hop[src])
+            << ip::family_name(family) << " dest=" << dest << " src=" << src;
+      }
+    }
+  }
+}
+
+TEST_P(RandomTopologyPaths, MatchesReferenceEverywhere) {
+  util::Rng rng(GetParam());
+  topo::TopologyParams params;
+  params.num_tier1 = 4;
+  params.num_transit = 30;
+  params.num_stub = 120;
+  expect_matches_reference(topo::generate_topology(params, rng));
+}
+
+// The 6to4 overlay adds tunnel pseudo-links, so some AS pairs are joined
+// by a native link and a tunnel at once: the same neighbor appears twice
+// in one adjacency list, possibly under two roles and in different
+// families.
+TEST(RouteComputer, MatchesReferenceAfterTunnelOverlay) {
+  for (const std::uint64_t seed : {3ULL, 8ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    topo::TopologyParams params;
+    params.num_tier1 = 4;
+    params.num_transit = 30;
+    params.num_stub = 120;
+    AsGraph g = topo::generate_topology(params, rng);
+    const scenario::TunnelStats stats =
+        scenario::apply_tunnel_overlay(g, 8, 15.0, 0.85, rng, 1);
+    ASSERT_GT(stats.tunnels_added, 0u);
+    std::size_t parallel_pairs = 0;
+    for (Asn u = 0; u < g.num_ases(); ++u) {
+      const auto& adj = g.adjacencies(u);
+      for (std::size_t i = 0; i < adj.size(); ++i) {
+        for (std::size_t j = i + 1; j < adj.size(); ++j) {
+          if (adj[i].neighbor == adj[j].neighbor) ++parallel_pairs;
+        }
+      }
+    }
+    EXPECT_GT(parallel_pairs, 0u) << "the overlay should parallel a native link";
+    expect_matches_reference(g);
+  }
+}
+
 // In IPv4 (fully connected underlay) every AS must reach every destination.
 TEST(RouteComputer, V4UniversalReachabilityOnGenerated) {
   util::Rng rng(77);
@@ -296,9 +458,10 @@ TEST(RouteComputer, TieBreakSplitMatchesHashCombine) {
   }
 }
 
-// FamilyView must be exactly the family-filtered adjacency list, in the
-// graph's own per-AS order — compute_routes_to's selection (including
-// first-seen tie candidates) is only bit-identical if the edge sequence is.
+// Each FamilyView role run must be exactly that role's family-filtered
+// adjacencies, in the graph's own per-AS order, and the three runs must
+// cover the AS's family degree — compute_routes_to's selection (including
+// first-seen tie candidates) is only bit-identical if every run is.
 TEST(RouteComputer, FamilyViewMatchesFilteredAdjacencies) {
   util::Rng rng(99);
   topo::TopologyParams params;
@@ -310,16 +473,71 @@ TEST(RouteComputer, FamilyViewMatchesFilteredAdjacencies) {
     const FamilyView view(g, family);
     ASSERT_EQ(view.num_ases(), g.num_ases());
     for (Asn u = 0; u < g.num_ases(); ++u) {
-      const FamilyView::Edge* e = view.edges_begin(u);
+      auto filtered = [&](topo::Role role) {
+        std::vector<Asn> out;
+        for (const topo::Adjacency& adj : g.adjacencies(u)) {
+          if (adj.role == role && g.link_in_family(adj.link_id, family)) {
+            out.push_back(adj.neighbor);
+          }
+        }
+        return out;
+      };
+      auto as_vector = [](std::span<const Asn> run) {
+        return std::vector<Asn>(run.begin(), run.end());
+      };
+      const std::vector<Asn> providers = filtered(topo::Role::kProvider);
+      const std::vector<Asn> peers = filtered(topo::Role::kPeer);
+      const std::vector<Asn> customers = filtered(topo::Role::kCustomer);
+      EXPECT_EQ(as_vector(view.providers(u)), providers) << "AS" << u;
+      EXPECT_EQ(as_vector(view.peers(u)), peers) << "AS" << u;
+      EXPECT_EQ(as_vector(view.customers(u)), customers) << "AS" << u;
+
+      std::vector<Asn> all = providers;
+      all.insert(all.end(), peers.begin(), peers.end());
+      all.insert(all.end(), customers.begin(), customers.end());
+      EXPECT_EQ(as_vector(view.neighbors(u)), all) << "AS" << u;
+      std::size_t degree = 0;
       for (const topo::Adjacency& adj : g.adjacencies(u)) {
-        if (!g.link_in_family(adj.link_id, family)) continue;
-        ASSERT_NE(e, view.edges_end(u));
-        EXPECT_EQ(e->neighbor, adj.neighbor);
-        EXPECT_EQ(e->role, adj.role);
-        ++e;
+        if (g.link_in_family(adj.link_id, family)) ++degree;
       }
-      EXPECT_EQ(e, view.edges_end(u));
+      EXPECT_EQ(view.providers(u).size() + view.peers(u).size() +
+                    view.customers(u).size(),
+                degree)
+          << "AS" << u;
     }
+  }
+}
+
+// The epoch engine refreshes its view at the endpoints of changed links
+// instead of rebuilding it; the result must be the rebuilt view, run for
+// run.
+TEST(RouteComputer, FamilyViewRefreshMatchesRebuild) {
+  util::Rng rng(98);
+  topo::TopologyParams params;
+  params.num_tier1 = 3;
+  params.num_transit = 20;
+  params.num_stub = 60;
+  AsGraph g = topo::generate_topology(params, rng);
+  FamilyView view(g, ip::Family::kIpv6);
+  std::vector<Asn> dirty;
+  for (std::uint32_t id = 0; id < g.num_links() && dirty.size() < 12; ++id) {
+    const topo::AsLink& l = g.link(id);
+    if (l.in_v6) continue;
+    g.enable_v6_on_link(id);
+    dirty.push_back(l.a);
+    dirty.push_back(l.b);
+  }
+  ASSERT_FALSE(dirty.empty());
+  view.refresh(g, dirty);
+  const FamilyView rebuilt(g, ip::Family::kIpv6);
+  ASSERT_EQ(view.num_ases(), rebuilt.num_ases());
+  auto same = [](std::span<const Asn> x, std::span<const Asn> y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  for (Asn u = 0; u < g.num_ases(); ++u) {
+    EXPECT_TRUE(same(view.providers(u), rebuilt.providers(u))) << "AS" << u;
+    EXPECT_TRUE(same(view.peers(u), rebuilt.peers(u))) << "AS" << u;
+    EXPECT_TRUE(same(view.customers(u), rebuilt.customers(u))) << "AS" << u;
   }
 }
 

@@ -13,6 +13,8 @@
 //   4. Applied deltas leave the world self-consistent: granted AAAA
 //      addresses resolve to the granting AS in the origin map and the
 //      catalog windows open at the epoch round.
+//   5. After every epoch, each changed destination's VP RIB entries are
+//      exactly what its re-converged table implies, in both advance modes.
 
 #include "core/world_timeline.h"
 
@@ -240,6 +242,55 @@ TEST(WorldTimeline, AppliedEpochsKeepWorldSelfConsistent) {
   }
   EXPECT_EQ(timeline.current_epoch(), timeline.num_epochs());
   EXPECT_FALSE(timeline.next_epoch_round().has_value());
+}
+
+// --- 5. Every changed destination leaves the VP RIBs in step with its table -
+
+/// After each applied epoch, every VP's v6 RIB must hold exactly what the
+/// engine's table for each changed destination implies: {origin d, the
+/// table's AS path} on each non-6to4 prefix of d when d speaks IPv6 and
+/// the VP reaches it, and no entry for the prefix otherwise.
+void expect_ribs_follow_tables(EpochAdvanceMode mode) {
+  WorldTimeline timeline = scenario::build_timeline(evolving_spec());
+  timeline.set_advance_mode(mode);
+  std::size_t installed = 0;
+  const std::uint32_t last = timeline.world().num_rounds;
+  for (std::uint32_t round = 0; round <= last; ++round) {
+    for (const WorldChangeSummary& summary : timeline.advance_to(round)) {
+      SCOPED_TRACE("epoch " + std::to_string(summary.epoch));
+      const World& w = timeline.world();
+      for (const topo::Asn d : summary.changed_dests) {
+        const bgp::RouteTable* t = timeline.v6_table(d);
+        ASSERT_NE(t, nullptr);
+        const topo::AsNode& dn = w.graph.node(d);
+        for (const VantagePoint& vp : w.vantage_points) {
+          const bool routable = dn.has_v6 && t->reachable(vp.asn);
+          for (const auto& p : dn.v6_prefixes) {
+            if (p.network().is_6to4()) continue;
+            const bgp::RibEntry* e = vp.rib.find_v6(p);
+            if (routable) {
+              ASSERT_NE(e, nullptr) << vp.name << " dest=" << d;
+              EXPECT_EQ(e->origin, d) << vp.name;
+              EXPECT_EQ(e->as_path, t->as_path(vp.asn)) << vp.name << " dest=" << d;
+              ++installed;
+            } else {
+              EXPECT_EQ(e, nullptr) << vp.name << " dest=" << d;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(timeline.current_epoch(), timeline.num_epochs());
+  EXPECT_GT(installed, 0u);
+}
+
+TEST(WorldTimeline, RibsFollowTablesAfterEveryEpochIncremental) {
+  expect_ribs_follow_tables(EpochAdvanceMode::kIncremental);
+}
+
+TEST(WorldTimeline, RibsFollowTablesAfterEveryEpochFullRebuild) {
+  expect_ribs_follow_tables(EpochAdvanceMode::kFullRebuild);
 }
 
 // --- Constructor contract ---------------------------------------------------
