@@ -1,18 +1,11 @@
-// Ingest throughput of the ObservationSink backends: the single-mutex
-// reference store vs the per-worker sharded store, at 1 and 8 ingest
+// Ingest throughput of the sharded observation sink at 1 and 8 ingest
 // threads. Each lane first interns a small AS-path working set — a few
 // hundred distinct paths cover almost every observation in a campaign,
 // so the steady state records against already-resolved ids — then the
 // hot loop records observations and bumps round counters. The timed
 // region is ingest + the round-boundary flush (threads are spawned and
-// parked on a latch beforehand), so the sharded numbers include the
-// canonicalization/merge cost they defer to the epoch boundary.
-//
-// This is the before/after evidence for the sharded results layer: the
-// mutex backend takes the store's lock for every record and count, the
-// sharded backend touches no shared state until flush. (The intern
-// probe itself costs the same hash + map lookup in every backend; it is
-// deliberately amortized here so the numbers isolate the sink seam.)
+// parked on a latch beforehand), so the numbers include the
+// canonicalization/merge cost the sink defers to the epoch boundary.
 //
 // BM_WriteObservationsCsv times the export layer on its own: the CSV
 // dump of a finalized store into a streambuf that discards the bytes, so
@@ -53,12 +46,11 @@ std::vector<std::vector<topo::Asn>> path_pool() {
   return pool;
 }
 
-void ingest_rows(core::ObservationSink& sink,
+void ingest_rows(core::ShardedSink& sink,
                  const std::vector<std::vector<topo::Asn>>& pool, int tid) {
-  core::ObservationSink::Lane& lane = sink.lane();
-  // Resolve the working set once per lane (ids are lane-local in the
-  // sharded backends): ~1% of the loop's work, like a campaign's warmed
-  // intern cache.
+  core::ShardedSink::Lane& lane = sink.lane();
+  // Resolve the working set once per lane (ids are lane-local): ~1% of
+  // the loop's work, like a campaign's warmed intern cache.
   std::vector<core::PathId> ids;
   ids.reserve(pool.size());
   for (const auto& path : pool) ids.push_back(lane.paths().intern(path));
@@ -88,13 +80,12 @@ void ingest_rows(core::ObservationSink& sink,
   }
 }
 
-template <typename Sink>
-void bm_ingest(benchmark::State& state) {
+void BM_IngestSharded(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const auto pool = path_pool();
   for (auto _ : state) {
     core::ResultsDb db;
-    Sink sink(db);
+    core::ShardedSink sink(db);
     // Spawn and park the workers outside the timed region: the metric
     // is ingest throughput, not pthread_create.
     std::atomic<bool> go{false};
@@ -109,22 +100,13 @@ void bm_ingest(benchmark::State& state) {
     const auto start = std::chrono::steady_clock::now();
     go.store(true, std::memory_order_release);
     for (std::thread& w : workers) w.join();
-    sink.finish();
+    sink.flush();
     const auto stop = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
     benchmark::DoNotOptimize(db);
   }
   state.SetItemsProcessed(state.iterations() * threads * kRowsPerThread);
   state.counters["threads"] = threads;
-}
-
-void BM_IngestMutex(benchmark::State& state) {
-  bm_ingest<core::MutexSink>(state);
-}
-BENCHMARK(BM_IngestMutex)->Arg(1)->Arg(8)->UseManualTime()->Unit(benchmark::kMillisecond);
-
-void BM_IngestSharded(benchmark::State& state) {
-  bm_ingest<core::ShardedSink>(state);
 }
 BENCHMARK(BM_IngestSharded)->Arg(1)->Arg(8)->UseManualTime()->Unit(benchmark::kMillisecond);
 

@@ -6,7 +6,7 @@
 // exit 1 (after attempting every other output).
 //
 // Usage: full_study [--metrics] [--config FILE] [--fallback MODE]
-//                   [seed] [scale] [sink]
+//                   [seed] [scale]
 //   --metrics: enable the obs:: observability layer; prints the stage /
 //   counter summary and writes full_study_out/metrics.json. Off by
 //   default — a metrics-off run is bit-identical with or without this
@@ -19,10 +19,8 @@
 //   build without the conn layer; the other modes add the fallback-tax
 //   table (full_study_out/fallback.csv) on top of the paper outputs,
 //   which stay byte-identical across all three modes.
-//   sink: sharded (default) | mutex | spool — the ingest backend; a pure
-//   performance/memory knob, every backend emits identical bytes. spool
-//   streams observations to full_study_out/*.spool during the campaign
-//   and replays them for the analysis (out-of-core mode).
+//   Any further positional argument is an error (exit 2 with the usage
+//   line).
 
 #include <cstdio>
 #include <cstdlib>
@@ -59,14 +57,6 @@ void show(const char* title, const util::TextTable& table, const char* csv) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     write_failed = true;
   }
-}
-
-core::SinkBackend parse_sink(const char* arg) {
-  if (std::strcmp(arg, "mutex") == 0) return core::SinkBackend::kMutex;
-  if (std::strcmp(arg, "spool") == 0) return core::SinkBackend::kSpool;
-  if (std::strcmp(arg, "sharded") == 0) return core::SinkBackend::kSharded;
-  std::fprintf(stderr, "unknown sink '%s' (want sharded|mutex|spool)\n", arg);
-  std::exit(2);
 }
 
 core::FallbackPolicy parse_fallback(const char* arg) {
@@ -120,6 +110,12 @@ int main(int argc, char** argv) {
     } else {
       pos.push_back(argv[i]);
     }
+  }
+  if (pos.size() > 2) {
+    std::fputs("usage: full_study [--metrics] [--config FILE] [--fallback MODE] "
+               "[seed] [scale]\n",
+               stderr);
+    return 2;
   }
 
   scenario::ScenarioSpec spec;
@@ -175,11 +171,9 @@ int main(int argc, char** argv) {
   if (have_spec && pos.size() > 0 && spec.campaign.seed == spec.world_seed) {
     cfg.seed = seed;
   }
-  if (pos.size() > 2) cfg.sink = parse_sink(pos[2]);
   // The flag overrides a scenario file's fallback.policy, like the
-  // positional seed/scale/sink do their keys.
+  // positional seed/scale do their keys.
   if (fallback_arg != nullptr) cfg.monitor.fallback = parse_fallback(fallback_arg);
-  if (cfg.sink == core::SinkBackend::kSpool) cfg.spool_dir = kOutDir;
   core::Campaign campaign(timeline, cfg);
   campaign.run();
   campaign.run_w6d();

@@ -65,9 +65,8 @@ struct SiteAssessment {
 };
 
 /// Assess every site that has measurement series in the view. The
-/// backing store must be finalized (series sorted by round); whether it
-/// was ingested in memory or replayed from a spool is invisible here.
-/// Output is ordered by ascending site id.
+/// backing store must be finalized (series sorted by round). Output is
+/// ordered by ascending site id.
 [[nodiscard]] std::vector<SiteAssessment> assess_sites(core::ObservationView view,
                                                        const AssessmentParams& params);
 

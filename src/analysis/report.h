@@ -14,8 +14,7 @@ namespace v6mon::analysis {
 /// Everything the table builders need about one vantage point's campaign.
 struct VpReport {
   std::string name;
-  /// Read-only window onto the VP's observations (in-memory store or
-  /// replayed spool — the table builders cannot tell the difference).
+  /// Read-only window onto the VP's finalized observation store.
   core::ObservationView view;
 
   std::vector<SiteAssessment> assessments;  ///< All assessed sites.

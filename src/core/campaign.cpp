@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "core/executor.h"
-#include "core/spool.h"
 #include "core/thread_pool.h"
 #include "core/world_timeline.h"
 #include "obs/metrics.h"
@@ -17,8 +16,8 @@ namespace {
 
 /// Campaign-layer counter handles. Status counters are indexed by the
 /// MonitorStatus enum value so workers count without a name lookup; all
-/// of them are deterministic in thread count and sink backend (each is
-/// incremented exactly once per listed site per round).
+/// of them are deterministic in thread count (each is incremented
+/// exactly once per listed site per round).
 struct CampaignMetricIds {
   obs::MetricId fast_path_sites = obs::metrics().counter("campaign.fast_path_sites");
   obs::MetricId sites_monitored = obs::metrics().counter("campaign.sites_monitored");
@@ -49,8 +48,8 @@ const CampaignMetricIds& campaign_metric_ids() {
 /// pipeline frontier (low rounds finish first, unblocking their
 /// successors and the next epoch gate); the VP index breaks ties
 /// deterministically. Gate nodes take slot 0 of their round, ahead of
-/// the round's VP nodes. Rounds are capped at 2^20 by the spool format,
-/// so a 20-bit VP field can never collide with the next round.
+/// the round's VP nodes. run() requires fewer than 2^20 rounds and VPs,
+/// so a 20-bit field can never collide with the next round or VP.
 [[nodiscard]] std::uint64_t node_key(std::uint32_t round, std::size_t vp_slot) {
   return (static_cast<std::uint64_t>(round) << 20) |
          static_cast<std::uint64_t>(vp_slot);
@@ -80,25 +79,6 @@ CampaignConfig Campaign::resolve(CampaignConfig config) {
   return config;
 }
 
-void Campaign::init_store(VpStore& store, std::size_t vp_index,
-                          const char* tag) const {
-  store.db = std::make_unique<ResultsDb>();
-  switch (config_.sink) {
-    case SinkBackend::kMutex:
-      store.sink = std::make_unique<MutexSink>(*store.db);
-      break;
-    case SinkBackend::kSharded:
-      store.sink = std::make_unique<ShardedSink>(*store.db);
-      break;
-    case SinkBackend::kSpool:
-      store.spool_path =
-          config_.spool_dir + "/vp" + std::to_string(vp_index) + tag + ".spool";
-      store.sink = std::make_unique<SpoolSink>(store.spool_path);
-      break;
-  }
-  V6MON_ENSURE(store.sink != nullptr, "unhandled sink backend");
-}
-
 Campaign::SiteScanIndex::SiteScanIndex(const web::SiteCatalog& catalog) {
   const std::size_t n = catalog.size();
   first_seen.reserve(n);
@@ -120,8 +100,8 @@ Campaign::Campaign(const World& world, CampaignConfig config)
     : world_(world), config_(resolve(std::move(config))), pool_(config_.threads),
       scan_(world.catalog) {
   for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
-    init_store(stores_.emplace_back(), vp, "");
-    init_store(w6d_stores_.emplace_back(), vp, "_w6d");
+    stores_.emplace_back();
+    w6d_stores_.emplace_back();
     dns_tallies_.emplace_back();
     monitors_.emplace_back(world_, world_.vantage_points[vp], config_.monitor);
   }
@@ -157,7 +137,8 @@ void Campaign::advance_world(std::uint32_t round) {
 
 void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
                          const std::vector<std::uint32_t>& sites,
-                         ObservationSink& sink, std::uint64_t salt) {
+                         ShardedSink& sink, std::uint64_t salt,
+                         bool inline_sites) {
   V6MON_REQUIRE(vp_index < monitors_.size(), "vantage point index out of range");
   if (sites.empty()) return;
   Monitor& monitor = monitors_[vp_index];
@@ -175,7 +156,7 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   const auto monitor_one = [&](std::size_t i) {
     // The worker's private lane: recording and counting touch no shared
     // state; path ids are canonicalized at the round-boundary flush.
-    ObservationSink::Lane& lane = sink.lane();
+    ShardedSink::Lane& lane = sink.lane();
     const web::Site& site = world_.catalog.site(sites[i]);
     // Every RNG stream is keyed per (site, round, salt) — never by chunk
     // bounds or worker identity — so scheduling granularity is a pure
@@ -210,7 +191,7 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
       metrics.add(ids.ingest_rows);
     }
   };
-  if (graph_inline_sites_) {
+  if (inline_sites) {
     // Executor-scheduled round with enough concurrent (vp, round) nodes
     // to cover every pool worker: fanning sites out would only enqueue
     // helpers that contend with other VPs' nodes for the same workers,
@@ -222,8 +203,8 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   } else {
     parallel_index(pool_, sites.size(), monitor_one);
   }
-  // Round boundary: merge every worker shard into the backing store (or
-  // stream it to the spool) in one deterministic pass.
+  // Round boundary: merge every worker shard into the VP's database in
+  // one deterministic pass.
   {
     obs::TraceSpan span(obs::Stage::kIngestFlush);
     sink.flush();
@@ -236,6 +217,11 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
 }
 
 void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
+  run_round(vp_index, round, /*inline_sites=*/false);
+}
+
+void Campaign::run_round(std::size_t vp_index, std::uint32_t round,
+                         bool inline_sites) {
   V6MON_REQUIRE(vp_index < world_.vantage_points.size(),
                 "vantage point index out of range");
   V6MON_REQUIRE(!finalized_, "run_round after finalize()");
@@ -254,8 +240,8 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
   // the same vantage point serialize here, upholding the sink's
   // flush-without-lane-traffic contract.
   util::LockGuard epoch(store.epoch_mu);
-  ObservationSink& sink = *store.sink;
-  ObservationSink::Lane& lane = sink.lane();  // coordinator's own lane
+  ShardedSink& sink = store.sink;
+  ShardedSink::Lane& lane = sink.lane();  // coordinator's own lane
 
   // Collect this round's work list. The fast path settles v4-only sites
   // inline: with no DNS failure injection their pipeline outcome is
@@ -287,7 +273,7 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
     // covers the vast majority of the catalog, and per-site bookkeeping
     // would cost more than the fast path itself — counters are additive,
     // so one add of `fast_pathed` is byte-identical to that many adds.
-    lane.count_n(round, MonitorStatus::kV4Only, fast_pathed);
+    lane.count(round, MonitorStatus::kV4Only, fast_pathed);
     obs::metrics().add(campaign_metric_ids().fast_path_sites, fast_pathed);
     obs::metrics().add(campaign_metric_ids().status_id(MonitorStatus::kV4Only),
                        fast_pathed);
@@ -301,18 +287,18 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
   // Randomize monitoring order (the paper randomizes per round to avoid
   // time-of-day bias). Chained derivation — one child per key component
   // — so no (vp, round) pair can alias another however large either
-  // grows. (The packed `(vp << 20) | round` key this replaces collided
-  // at the spool format's round cap: vp=0, round=2^20 shuffled
-  // identically to vp=1, round=0.) The shuffle only permutes the work
-  // list; every observable is keyed by (site, round), so outputs are
-  // byte-identical under the rekey — tests/determinism_test.cpp pins the
-  // threads/sink matrix against the serial mutex reference and
-  // tests/rng_test.cpp pins the collision-freedom itself.
+  // grows. (A packed `(vp << 20) | round` key would collide once rounds
+  // reach 2^20: vp=0, round=2^20 would shuffle identically to vp=1,
+  // round=0.) The shuffle only permutes the work list; every observable
+  // is keyed by (site, round), so outputs are byte-identical under any
+  // order — tests/determinism_test.cpp pins the thread matrix against
+  // the serial reference and tests/rng_test.cpp pins the
+  // collision-freedom itself.
   util::Rng order =
       util::Rng(config_.seed).child("order", vp_index).child("round", round);
   order.shuffle(work);
 
-  run_sites(vp_index, round, work, sink, /*salt=*/0);
+  run_sites(vp_index, round, work, sink, /*salt=*/0, inline_sites);
 }
 
 bool Campaign::graph_covers_pool() const {
@@ -337,6 +323,7 @@ void Campaign::run() {
   const std::size_t num_vps = world_.vantage_points.size();
   if (num_vps == 0) return;
   V6MON_REQUIRE(num_vps < (1u << 20), "vantage point count exceeds key space");
+  V6MON_REQUIRE(world_.num_rounds < (1u << 20), "round count exceeds key space");
   std::vector<std::uint32_t> gates;
   if (timeline_ != nullptr) {
     for (const std::uint32_t r : timeline_->pending_epoch_rounds()) {
@@ -344,6 +331,7 @@ void Campaign::run() {
     }
   }
   Executor exec(pool_);
+  const bool inline_sites = graph_covers_pool();
   std::vector<Executor::NodeId> prev(num_vps, Executor::kNoNode);
   Executor::NodeId prev_gate = Executor::kNoNode;
   std::size_t next_gate = 0;
@@ -355,7 +343,7 @@ void Campaign::run() {
                       [this, round] { advance_world(round); });
       // Gates chain (epochs apply in order) and wait for every VP's
       // previous round — the world may only move while no measurement
-      // is in flight, the same quiescence the sinks' flush relies on.
+      // is in flight, the same quiescence the sink's flush relies on.
       if (prev_gate != Executor::kNoNode) exec.add_edge(prev_gate, gate);
       for (std::size_t vp = 0; vp < num_vps; ++vp) {
         if (prev[vp] != Executor::kNoNode) exec.add_edge(prev[vp], gate);
@@ -365,16 +353,14 @@ void Campaign::run() {
     for (std::size_t vp = 0; vp < num_vps; ++vp) {
       const std::uint64_t key = gates.empty() ? node_key_vp_major(round, vp)
                                               : node_key(round, vp + 1);
-      const Executor::NodeId node =
-          exec.add(key, [this, vp, round] { run_round(vp, round); });
+      const Executor::NodeId node = exec.add(
+          key, [this, vp, round, inline_sites] { run_round(vp, round, inline_sites); });
       if (prev[vp] != Executor::kNoNode) exec.add_edge(prev[vp], node);
       if (gate != Executor::kNoNode) exec.add_edge(gate, node);
       prev[vp] = node;
     }
   }
-  graph_inline_sites_ = graph_covers_pool();
   exec.run();
-  graph_inline_sites_ = false;
 }
 
 void Campaign::run_w6d() {
@@ -392,10 +378,11 @@ void Campaign::run_w6d() {
   // mini-round sequence is one node, so its mini-rounds stay in order
   // while different VPs' events run concurrently.
   Executor exec(pool_);
+  const bool inline_sites = graph_covers_pool();
   bool any = false;
   for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
     if (world_.vantage_points[vp].start_round > world_.w6d_round) continue;
-    exec.add(node_key(0, vp + 1), [this, vp, &participants] {
+    exec.add(node_key(0, vp + 1), [this, vp, &participants, inline_sites] {
       VpStore& store = w6d_stores_[vp];
       util::LockGuard epoch(store.epoch_mu);
       // The monitor (and its resolved-site table) is shared with regular
@@ -408,16 +395,14 @@ void Campaign::run_w6d() {
         // state) but with independent randomness. Each run_sites call is
         // one ingest epoch, flushed at its end, so a site's mini-round
         // observations land in mini order.
-        run_sites(vp, world_.w6d_round, participants, *store.sink,
-                  /*salt=*/0x60d00000ULL + mini);
+        run_sites(vp, world_.w6d_round, participants, store.sink,
+                  /*salt=*/0x60d00000ULL + mini, inline_sites);
       }
     });
     any = true;
   }
   if (!any) return;
-  graph_inline_sites_ = graph_covers_pool();
   exec.run();
-  graph_inline_sites_ = false;
 }
 
 void Campaign::finalize() {
@@ -426,14 +411,8 @@ void Campaign::finalize() {
   for (std::deque<VpStore>* group : {&stores_, &w6d_stores_}) {
     for (VpStore& store : *group) {
       util::LockGuard epoch(store.epoch_mu);
-      store.sink->finish();
-      if (!store.spool_path.empty()) {
-        // Out-of-core campaign: pull the spooled rows back in for the
-        // analysis pass. The replayed store is indistinguishable from an
-        // in-memory run (tests assert byte equality).
-        replay_spool_file(store.spool_path, *store.db);
-      }
-      store.db->finalize();
+      store.sink.flush();
+      store.db.finalize();
     }
   }
 }

@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <deque>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "core/monitor.h"
@@ -16,14 +14,6 @@ namespace v6mon::core {
 
 class WorldTimeline;
 
-/// Which ObservationSink backend the campaign ingests through (see
-/// core/sink.h). All backends produce byte-identical observables.
-enum class SinkBackend : std::uint8_t {
-  kMutex,    ///< Reference store: one global mutex per observation.
-  kSharded,  ///< Per-worker shards, lock-free hot path (default).
-  kSpool,    ///< Out-of-core: binary spool files, replayed at finalize().
-};
-
 /// Campaign-level configuration.
 struct CampaignConfig {
   MonitorConfig monitor;
@@ -35,12 +25,6 @@ struct CampaignConfig {
   /// Mini-rounds run during the World IPv6 Day event (the paper monitored
   /// participants every 30 minutes for the day).
   std::size_t w6d_mini_rounds = 12;
-  /// Results-ingest backend; a pure performance/memory knob (every
-  /// backend reproduces the same bytes).
-  SinkBackend sink = SinkBackend::kSharded;
-  /// Directory for SinkBackend::kSpool files (vp<i>.spool and
-  /// vp<i>_w6d.spool). Must exist and be writable.
-  std::string spool_dir = ".";
 };
 
 /// Runs the paper's measurement campaign: for every vantage point, one
@@ -90,17 +74,17 @@ class Campaign {
   void run_w6d();
 
   [[nodiscard]] const ResultsDb& results(std::size_t vp_index) const {
-    return *stores_.at(vp_index).db;
+    return stores_.at(vp_index).db;
   }
   [[nodiscard]] const ResultsDb& w6d_results(std::size_t vp_index) const {
-    return *w6d_stores_.at(vp_index).db;
+    return w6d_stores_.at(vp_index).db;
   }
   [[nodiscard]] const World& world() const { return world_; }
   [[nodiscard]] const CampaignConfig& config() const { return config_; }
 
   /// Conn-layer verdict totals for one vantage point (ISSUE 9; zeros
-  /// under FallbackPolicy::kNone). Deterministic across threads and sink
-  /// backends. Quiescent callers only — between rounds or after run().
+  /// under FallbackPolicy::kNone). Deterministic across thread counts.
+  /// Quiescent callers only — between rounds or after run().
   [[nodiscard]] FallbackStats fallback_stats(std::size_t vp_index) const {
     return monitors_.at(vp_index).fallback_stats();
   }
@@ -109,12 +93,11 @@ class Campaign {
   /// (site, round) resolver the campaign created — regular and W6D
   /// rounds together. Each field is a sum of per-site counts (pure
   /// functions of the seed), so the totals are deterministic across
-  /// threads and sinks; the same numbers feed the global dns.* metrics
+  /// thread counts; the same numbers feed the global dns.* metrics
   /// counters, which lose the per-VP split this keeps.
   [[nodiscard]] dns::Resolver::Stats dns_stats(std::size_t vp_index) const;
 
-  /// End ingest and build the analysis views: close sinks (replaying
-  /// spool files for the kSpool backend) and finalize every ResultsDb.
+  /// End ingest and build the analysis views: finalize every ResultsDb.
   /// Call after all runs, before analysis. Idempotent; no run_round /
   /// run_w6d calls may follow.
   void finalize();
@@ -123,14 +106,13 @@ class Campaign {
   /// One vantage point's results store: the database, the ingest sink in
   /// front of it, and the epoch lock serializing rounds on this store.
   struct VpStore {
-    std::unique_ptr<ResultsDb> db;
-    std::unique_ptr<ObservationSink> sink;
-    std::string spool_path;  ///< Non-empty for the kSpool backend.
+    ResultsDb db;
+    ShardedSink sink{db};
     /// Ingest-epoch capability: held for the whole of a round (or a
     /// finalize) on this store, serializing epochs so the sink's
     /// flush-without-lane-traffic contract holds. It guards a *protocol*
     /// (exclusive use of `sink`), not a field — `db`/`sink` themselves
-    /// are set once at construction and internally synchronized.
+    /// are internally synchronized.
     util::Mutex epoch_mu;
   };
 
@@ -149,11 +131,16 @@ class Campaign {
     explicit SiteScanIndex(const web::SiteCatalog& catalog);
   };
 
-  /// Populate a freshly emplaced store in place (VpStore is immovable).
-  void init_store(VpStore& store, std::size_t vp_index, const char* tag) const;
+  /// run_round for executor nodes: `inline_sites` is graph_covers_pool()
+  /// of the graph the node belongs to (see run_sites).
+  void run_round(std::size_t vp_index, std::uint32_t round, bool inline_sites);
+  /// Monitor `sites` as one ingest epoch, then flush. With `inline_sites`
+  /// the site loop runs on the calling thread instead of fanning out
+  /// through the pool — a pure scheduling choice, invisible in every
+  /// observable.
   void run_sites(std::size_t vp_index, std::uint32_t round,
-                 const std::vector<std::uint32_t>& sites, ObservationSink& sink,
-                 std::uint64_t salt);
+                 const std::vector<std::uint32_t>& sites, ShardedSink& sink,
+                 std::uint64_t salt, bool inline_sites);
 
   /// Whether executor-scheduled nodes should run their site loop inline
   /// (when graph-level VP parallelism already covers the pool) or fan
@@ -191,14 +178,6 @@ class Campaign {
   std::vector<Monitor> monitors_;
   SiteScanIndex scan_;
   bool finalized_ = false;
-  /// True while an executor graph is driving this campaign AND the
-  /// graph's node-level parallelism saturates the pool: run_sites then
-  /// loops sites inline on the node's thread instead of paying a
-  /// parallel_index fan-out whose helpers would find no free worker.
-  /// Written only by the coordinator before/after Executor::run()
-  /// (published to node threads through the pool's submission mutex);
-  /// purely a scheduling knob, invisible in every observable.
-  bool graph_inline_sites_ = false;
 };
 
 }  // namespace v6mon::core

@@ -144,12 +144,6 @@ void ResultsDb::add(const Observation& obs) {
   staging_.push_back(obs);
 }
 
-void ResultsDb::merge_rows(std::span<const Observation> batch) {
-  if (batch.empty()) return;
-  util::LockGuard lock(mu_);
-  staging_.insert(staging_.end(), batch.begin(), batch.end());
-}
-
 void ResultsDb::seal_staging() {
   if (staging_.empty()) return;
   staged_batches_.push_back(std::move(staging_));
@@ -159,7 +153,7 @@ void ResultsDb::seal_staging() {
 void ResultsDb::merge_rows(std::vector<Observation>&& batch) {
   if (batch.empty()) return;
   util::LockGuard lock(mu_);
-  // Seal any loose add()/span rows first so the batch lands after them.
+  // Seal any loose add() rows first so the batch lands after them.
   seal_staging();
   staged_batches_.push_back(std::move(batch));
 }
@@ -185,11 +179,6 @@ void ResultsDb::merge_counters(const std::vector<RoundCounters>& deltas) {
   for (std::uint32_t r = 0; r < deltas.size(); ++r) {
     round_slot(r) += deltas[r];
   }
-}
-
-void ResultsDb::merge_counters(std::uint32_t round, const RoundCounters& delta) {
-  util::LockGuard lock(mu_);
-  round_slot(round) += delta;
 }
 
 SiteSeries ResultsDb::series(std::uint32_t site) const {
@@ -273,6 +262,22 @@ namespace {
 /// this many bytes: one write per chunk, never a whole dump in memory.
 constexpr std::size_t kCsvChunkBytes = 64 * 1024;
 
+/// Longest text of each fixed-width CSV field.
+constexpr std::size_t kU32Chars = 10;    ///< 4294967295
+constexpr std::size_t kU16Chars = 5;     ///< 65535
+constexpr std::size_t kFloatChars = 12;  ///< `%.6g`, e.g. -1.17549e-38
+constexpr std::size_t kStatusChars = 18; ///< v4-download-failed
+
+constexpr bool status_names_fit() {
+  for (auto s = static_cast<std::uint8_t>(MonitorStatus::kDnsFailed);
+       s <= static_cast<std::uint8_t>(MonitorStatus::kMeasured); ++s) {
+    const std::string_view name = monitor_status_name(static_cast<MonitorStatus>(s));
+    if (name.size() > kStatusChars) return false;
+  }
+  return true;
+}
+static_assert(status_names_fit(), "a status name outgrew its CSV window");
+
 /// Streams observation rows as CSV text. Numbers go through
 /// std::to_chars (speeds as `%.6g` in the C locale, which is what a
 /// default-state `ostream << float` prints), so the bytes never depend on
@@ -289,29 +294,29 @@ class ObservationCsvWriter {
   }
 
   void row(const ObservationColumns& c, std::size_t i) {
-    // Longest fixed part: six integers of at most 10 digits, the longest
-    // status name (18), two `%.6g` floats (at most 12 each), 9 commas.
-    char line[160];
+    // Every field is formatted into a window of its own longest text, so
+    // the compiler can bound each write (and no window can overflow).
+    char line[4 * kU32Chars + 2 * kU16Chars + kStatusChars + 2 * kFloatChars + 9];
+    constexpr auto kGeneral = std::chars_format::general;
     char* p = line;
-    char* const end = line + sizeof line;
-    p = std::to_chars(p, end, c.site[i]).ptr;
+    p = std::to_chars(p, p + kU32Chars, c.site[i]).ptr;
     *p++ = ',';
-    p = std::to_chars(p, end, c.round[i]).ptr;
+    p = std::to_chars(p, p + kU32Chars, c.round[i]).ptr;
     *p++ = ',';
     const std::string_view status = monitor_status_name(c.status[i]);
-    p = std::copy(status.begin(), status.end(), p);
+    p = std::copy_n(status.data(), std::min(status.size(), kStatusChars), p);
     *p++ = ',';
-    p = std::to_chars(p, end, c.v4_speed_kBps[i], std::chars_format::general, 6).ptr;
+    p = std::to_chars(p, p + kFloatChars, c.v4_speed_kBps[i], kGeneral, 6).ptr;
     *p++ = ',';
-    p = std::to_chars(p, end, c.v6_speed_kBps[i], std::chars_format::general, 6).ptr;
+    p = std::to_chars(p, p + kFloatChars, c.v6_speed_kBps[i], kGeneral, 6).ptr;
     *p++ = ',';
-    p = std::to_chars(p, end, c.v4_samples[i]).ptr;
+    p = std::to_chars(p, p + kU16Chars, c.v4_samples[i]).ptr;
     *p++ = ',';
-    p = std::to_chars(p, end, c.v6_samples[i]).ptr;
+    p = std::to_chars(p, p + kU16Chars, c.v6_samples[i]).ptr;
     *p++ = ',';
-    if (c.v4_origin[i] != topo::kNoAs) p = std::to_chars(p, end, c.v4_origin[i]).ptr;
+    if (c.v4_origin[i] != topo::kNoAs) p = std::to_chars(p, p + kU32Chars, c.v4_origin[i]).ptr;
     *p++ = ',';
-    if (c.v6_origin[i] != topo::kNoAs) p = std::to_chars(p, end, c.v6_origin[i]).ptr;
+    if (c.v6_origin[i] != topo::kNoAs) p = std::to_chars(p, p + kU32Chars, c.v6_origin[i]).ptr;
     *p++ = ',';
     buf_.append(line, p);
     append_path(c.v4_path[i]);

@@ -225,17 +225,13 @@ class ResultsDb {
   void count(std::uint32_t round, MonitorStatus status, std::uint64_t n = 1);
   void count_listed(std::uint32_t round, std::uint64_t n);
 
-  /// Bulk ingest from a sink merge: one lock for the whole batch. The
-  /// batch's path ids must already refer to this database's registry.
-  void merge_rows(std::span<const Observation> batch);
-  /// Move-ingest a whole batch: O(1) — the vector is spliced into the
-  /// staging list, no row is copied. Relative order of add() rows and
-  /// merged batches is preserved.
+  /// Move-ingest a whole batch from a sink flush: O(1) — the vector is
+  /// spliced into the staging list, no row is copied. The batch's path
+  /// ids must already refer to this database's registry. Relative order
+  /// of add() rows and merged batches is preserved.
   void merge_rows(std::vector<Observation>&& batch);
   /// Fold per-round counter deltas in (indexed by round).
   void merge_counters(const std::vector<RoundCounters>& deltas);
-  /// Fold a single round's counter delta in (spool replay path).
-  void merge_counters(std::uint32_t round, const RoundCounters& delta);
 
   [[nodiscard]] PathRegistry& paths() { return paths_; }
   [[nodiscard]] const PathRegistry& paths() const { return paths_; }
@@ -300,8 +296,7 @@ class ResultsDb {
 
 /// Read-only abstraction the analysis layer consumes: per-site series,
 /// the path registry, and round counters — without coupling to how the
-/// observations were ingested. A view over an in-memory campaign store
-/// and a view over a replayed spool are indistinguishable to analysis.
+/// observations were ingested.
 ///
 /// Implicitly convertible from a finalized ResultsDb (a view is exactly
 /// a non-owning handle onto one).

@@ -16,7 +16,7 @@ namespace {
 /// (and at worst an extra shard), never correctness.
 struct LaneSlot {
   std::uint64_t sink_id = 0;  ///< 0 = empty (ids start at 1).
-  ObservationSink::Lane* lane = nullptr;
+  ShardedSink::Lane* lane = nullptr;
 };
 constexpr std::size_t kLaneCacheSize = 16;
 // V6MON_LINT_ALLOW(D004): per-thread shard-lookup memo keyed by process-unique
@@ -33,42 +33,40 @@ std::uint64_t next_sink_id() {
 
 }  // namespace
 
-ShardedSinkBase::ShardedSinkBase() : id_(next_sink_id()) {}
+ShardedSink::ShardedSink(ResultsDb& db) : db_(&db), id_(next_sink_id()) {}
 
-ShardedSinkBase::~ShardedSinkBase() = default;
-
-ShardedSinkBase::Shard& ShardedSinkBase::shard_for_this_thread() {
+ShardedSink::Lane& ShardedSink::shard_for_this_thread() {
   util::LockGuard lock(shards_mu_);
   return shards_.emplace_back();
 }
 
-ObservationSink::Lane& ShardedSinkBase::lane() {
+ShardedSink::Lane& ShardedSink::lane() {
   for (LaneSlot& slot : tl_lanes) {
     if (slot.sink_id == id_) return *slot.lane;
   }
-  Shard& shard = shard_for_this_thread();
+  Lane& shard = shard_for_this_thread();
   LaneSlot& victim = tl_lanes[tl_lane_evict];
   tl_lane_evict = (tl_lane_evict + 1) % kLaneCacheSize;
   victim = {id_, &shard};
   return shard;
 }
 
-std::size_t ShardedSinkBase::shard_count() const {
+std::size_t ShardedSink::shard_count() const {
   util::LockGuard lock(shards_mu_);
   return shards_.size();
 }
 
-void ShardedSinkBase::flush() {
+void ShardedSink::flush() {
   // Coordinator-only by contract; the lock still guards against a late
   // worker's lane() cache miss racing shard creation.
   util::LockGuard lock(shards_mu_);
-  for (Shard& s : shards_) {
+  for (Lane& s : shards_) {
     // Canonicalize path ids minted since the last flush. remap_ is an
     // append-only prefix map, so each shard-local id crosses the
     // canonicalization boundary exactly once over the campaign.
     const std::size_t total = s.reg_.size();
     for (std::size_t local = s.remap_.size(); local < total; ++local) {
-      s.remap_.push_back(canonicalize(s.reg_.path(static_cast<PathId>(local))));
+      s.remap_.push_back(db_->paths().intern(s.reg_.path(static_cast<PathId>(local))));
     }
     for (Observation& o : s.staged_) {
       if (o.v4_path != kNoPath) {
@@ -80,7 +78,8 @@ void ShardedSinkBase::flush() {
         o.v6_path = s.remap_[o.v6_path];
       }
     }
-    merge_batch(std::move(s.staged_), s.counters_);
+    db_->merge_rows(std::move(s.staged_));
+    db_->merge_counters(s.counters_);
     s.staged_.clear();  // normalize the moved-from buffer for the next epoch
     // Zero the deltas but keep the vector: the next round reuses the
     // allocation and merge treats all-zero rounds as no-ops.

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <span>
 #include <vector>
 
 #include "core/results.h"
@@ -11,112 +10,26 @@
 namespace v6mon::core {
 
 /// Where campaign workers write measurement outcomes — the seam between
-/// the monitoring pipeline (many threads, hot) and the results store
-/// (columnar, read-mostly). The paper's tool poured observations into a
-/// per-vantage-point MySQL database; v6mon decouples the same way so the
-/// ingest strategy (one mutex, per-worker shards, an out-of-core spool)
-/// can change without the monitor or the analysis noticing.
+/// the monitoring pipeline (many threads, hot) and the per-vantage-point
+/// results store (columnar, read-mostly), as the paper's tool poured
+/// observations into one per-VP database. Each worker thread gets a
+/// private shard (observation buffer + round counters + path registry),
+/// so the record/count hot path touches no shared state at all — no
+/// mutex, no atomic. `flush()` walks the shards, maps shard-local path
+/// ids to canonical ids in the database's registry, and bulk-merges rows
+/// and counter deltas (one lock per shard per round instead of one per
+/// observation).
 ///
 /// Threading contract:
 ///  * `lane()` / `Lane` methods may be called concurrently from any
 ///    number of worker threads during an ingest epoch.
-///  * `count_listed()`, `flush()` and `finish()` are coordinator-only:
-///    the caller guarantees no Lane traffic is in flight when they run.
-///    Campaign serializes ingest epochs per sink to uphold this.
+///  * `count_listed()` and `flush()` are coordinator-only: the caller
+///    guarantees no Lane traffic is in flight when they run. Campaign
+///    serializes ingest epochs per sink to uphold this.
 ///  * `flush()` marks a round boundary: all worker-local state drains
-///    into the backing store in an order with no observable scheduling
+///    into the database in an order with no observable scheduling
 ///    dependence, so downstream CSVs, counters and tables come out
 ///    byte-identical at any thread count.
-class ObservationSink {
- public:
-  /// A single worker's ingest handle. Implementations make the common
-  /// path (record/count) free of shared-state locking.
-  class Lane {
-   public:
-    Lane() = default;
-    Lane(const Lane&) = delete;
-    Lane& operator=(const Lane&) = delete;
-    virtual ~Lane() = default;
-
-    /// Registry the worker interns AS paths into. Ids returned here are
-    /// lane-local; the sink canonicalizes them at flush time.
-    [[nodiscard]] virtual PathRegistry& paths() = 0;
-    /// Record one observation (path ids must come from this lane's
-    /// registry).
-    virtual void record(const Observation& obs) = 0;
-    /// Bucket one monitoring status into the round's counters.
-    virtual void count(std::uint32_t round, MonitorStatus status) = 0;
-    /// Bucket `n` occurrences at once (the campaign fast path settles
-    /// hundreds of thousands of v4-only sites per round; counters are
-    /// additive, so one bulk add is byte-identical to n single adds).
-    virtual void count_n(std::uint32_t round, MonitorStatus status,
-                         std::uint64_t n) {
-      for (; n != 0; --n) count(round, status);
-    }
-  };
-
-  ObservationSink() = default;
-  ObservationSink(const ObservationSink&) = delete;
-  ObservationSink& operator=(const ObservationSink&) = delete;
-  virtual ~ObservationSink() = default;
-
-  /// The calling thread's lane. Stable for the thread's lifetime; cheap
-  /// after the first call.
-  [[nodiscard]] virtual Lane& lane() = 0;
-
-  /// Record the listed-population size for a round (coordinator-only).
-  virtual void count_listed(std::uint32_t round, std::uint64_t n) = 0;
-
-  /// Round boundary: drain all lanes into the backing store
-  /// (coordinator-only, no concurrent lane traffic).
-  virtual void flush() = 0;
-
-  /// End of ingest. After finish() the sink accepts no more traffic;
-  /// out-of-core backends close their files here. Default: flush().
-  virtual void finish() { flush(); }
-};
-
-/// Baseline backend: every lane call goes straight to the ResultsDb
-/// behind its global mutex — the pre-sharding behaviour, kept as the
-/// reference implementation and the `bench_results` comparison point.
-class MutexSink final : public ObservationSink {
- public:
-  explicit MutexSink(ResultsDb& db) : lane_(db) {}
-
-  [[nodiscard]] Lane& lane() override { return lane_; }
-  void count_listed(std::uint32_t round, std::uint64_t n) override {
-    lane_.db().count_listed(round, n);
-  }
-  void flush() override {}  // nothing staged: writes were direct
-
- private:
-  class DbLane final : public Lane {
-   public:
-    explicit DbLane(ResultsDb& db) : db_(&db) {}
-    [[nodiscard]] PathRegistry& paths() override { return db_->paths(); }
-    void record(const Observation& obs) override { db_->add(obs); }
-    void count(std::uint32_t round, MonitorStatus status) override {
-      db_->count(round, status);
-    }
-    void count_n(std::uint32_t round, MonitorStatus status,
-                 std::uint64_t n) override {
-      if (n != 0) db_->count(round, status, n);  // one lock for the batch
-    }
-    [[nodiscard]] ResultsDb& db() { return *db_; }
-
-   private:
-    ResultsDb* db_;
-  };
-  DbLane lane_;
-};
-
-/// Sharded ingest machinery shared by the in-memory sharded backend and
-/// the spool writer: each worker thread gets a private shard
-/// (observation buffer + round counters + path registry), so the
-/// record/count hot path touches no shared state at all — no mutex, no
-/// atomic. `flush()` walks the shards, maps shard-local path ids to
-/// canonical ids via `canonicalize()`, and hands each batch to
-/// `merge_batch()`.
 ///
 /// Determinism: within one ingest epoch a site is monitored at most
 /// once, so per-site observation order is epoch order regardless of
@@ -125,48 +38,33 @@ class MutexSink final : public ObservationSink {
 /// shard arrival order. Canonical path *ids* do depend on merge order;
 /// path *content* (the only registry observable that reaches output)
 /// does not.
-class ShardedSinkBase : public ObservationSink {
+class ShardedSink {
  public:
-  ~ShardedSinkBase() override;
-
-  [[nodiscard]] Lane& lane() final;
-  void flush() final;
-
-  /// Number of shards materialized so far (== distinct ingest threads,
-  /// modulo lane-cache eviction).
-  [[nodiscard]] std::size_t shard_count() const;
-
- protected:
-  ShardedSinkBase();
-
-  /// Map one shard-local path (by content) to a canonical id in the
-  /// flush target, registering it there on first sight.
-  virtual PathId canonicalize(std::span<const topo::Asn> path) = 0;
-  /// Receive one shard's batch (by move — in-memory targets splice it
-  /// in without copying a row): rows carry canonical path ids; counters
-  /// are per-round deltas since the previous flush (all-zero rounds are
-  /// no-ops).
-  virtual void merge_batch(std::vector<Observation>&& rows,
-                           const std::vector<RoundCounters>& counters) = 0;
-
- private:
-  class Shard final : public Lane {
+  /// One worker's shard and ingest handle.
+  class Lane {
    public:
-    [[nodiscard]] PathRegistry& paths() override { return reg_; }
-    void record(const Observation& obs) override { staged_.push_back(obs); }
-    void count(std::uint32_t round, MonitorStatus status) override {
-      if (round >= counters_.size()) counters_.resize(round + 1);
-      apply_status(counters_[round], status);
-    }
-    void count_n(std::uint32_t round, MonitorStatus status,
-                 std::uint64_t n) override {
+    Lane() = default;
+    Lane(const Lane&) = delete;
+    Lane& operator=(const Lane&) = delete;
+
+    /// Registry the worker interns AS paths into. Ids returned here are
+    /// lane-local; the sink canonicalizes them at flush time.
+    [[nodiscard]] PathRegistry& paths() { return reg_; }
+    /// Record one observation (path ids must come from this lane's
+    /// registry).
+    void record(const Observation& obs) { staged_.push_back(obs); }
+    /// Bucket `n` occurrences of one monitoring status into the round's
+    /// counters (the campaign fast path settles hundreds of thousands of
+    /// v4-only sites per round; counters are additive, so one bulk add is
+    /// byte-identical to n single adds).
+    void count(std::uint32_t round, MonitorStatus status, std::uint64_t n = 1) {
       if (n == 0) return;
       if (round >= counters_.size()) counters_.resize(round + 1);
       apply_status(counters_[round], status, n);
     }
 
    private:
-    friend class ShardedSinkBase;
+    friend class ShardedSink;
     PathRegistry reg_;
     std::vector<Observation> staged_;
     std::vector<RoundCounters> counters_;
@@ -175,39 +73,37 @@ class ShardedSinkBase : public ObservationSink {
     std::vector<PathId> remap_;
   };
 
-  Shard& shard_for_this_thread() V6MON_EXCLUDES(shards_mu_);
+  explicit ShardedSink(ResultsDb& db);
+  ShardedSink(const ShardedSink&) = delete;
+  ShardedSink& operator=(const ShardedSink&) = delete;
 
+  /// The calling thread's lane. Stable for the thread's lifetime; cheap
+  /// after the first call.
+  [[nodiscard]] Lane& lane();
+
+  /// Record the listed-population size for a round (coordinator-only).
+  void count_listed(std::uint32_t round, std::uint64_t n) {
+    db_->count_listed(round, n);
+  }
+
+  /// Round boundary: drain all lanes into the database (coordinator-only,
+  /// no concurrent lane traffic).
+  void flush();
+
+  /// Number of shards materialized so far (== distinct ingest threads,
+  /// modulo lane-cache eviction).
+  [[nodiscard]] std::size_t shard_count() const;
+
+ private:
+  Lane& shard_for_this_thread() V6MON_EXCLUDES(shards_mu_);
+
+  ResultsDb* db_;
   const std::uint64_t id_;  ///< Process-unique, keys the thread-local lane cache.
   /// Guards the shard *container* (creation/walk). Shard contents are
   /// lane-private during an epoch and coordinator-owned during flush()
   /// — that handoff is the sink's epoch contract, not a lock.
   mutable util::Mutex shards_mu_;
-  std::deque<Shard> shards_ V6MON_GUARDED_BY(shards_mu_);  ///< Deque: addresses stable as shards join.
-};
-
-/// In-memory sharded backend: flush canonicalizes into the database's
-/// own path registry and bulk-merges rows and counter deltas (one lock
-/// per shard per round instead of one per observation).
-class ShardedSink final : public ShardedSinkBase {
- public:
-  explicit ShardedSink(ResultsDb& db) : db_(&db) {}
-
-  void count_listed(std::uint32_t round, std::uint64_t n) override {
-    db_->count_listed(round, n);
-  }
-
- protected:
-  PathId canonicalize(std::span<const topo::Asn> path) override {
-    return db_->paths().intern(path);
-  }
-  void merge_batch(std::vector<Observation>&& rows,
-                   const std::vector<RoundCounters>& counters) override {
-    db_->merge_rows(std::move(rows));
-    db_->merge_counters(counters);
-  }
-
- private:
-  ResultsDb* db_;
+  std::deque<Lane> shards_ V6MON_GUARDED_BY(shards_mu_);  ///< Deque: addresses stable as shards join.
 };
 
 }  // namespace v6mon::core

@@ -15,7 +15,7 @@ namespace {
 
 /// Per-thread shard lookup, keyed by a process-unique registry id (never
 /// by pointer — a destroyed registry's address can be reused; same
-/// discipline as core::ShardedSinkBase's lane cache).
+/// discipline as core::ShardedSink's lane cache).
 struct ShardSlot {
   std::uint64_t registry_id = 0;  ///< 0 = empty (ids start at 1).
   void* shard = nullptr;

@@ -82,13 +82,6 @@ bool parse_bool(std::string_view v, std::size_t line) {
   fail(line, "expected a boolean (true/false), got '" + std::string(v) + "'");
 }
 
-core::SinkBackend parse_sink(std::string_view v, std::size_t line) {
-  if (v == "mutex") return core::SinkBackend::kMutex;
-  if (v == "sharded") return core::SinkBackend::kSharded;
-  if (v == "spool") return core::SinkBackend::kSpool;
-  fail(line, "expected mutex|sharded|spool, got '" + std::string(v) + "'");
-}
-
 core::FallbackPolicy parse_fallback(std::string_view v, std::size_t line) {
   if (v == "none") return core::FallbackPolicy::kNone;
   if (v == "sequential") return core::FallbackPolicy::kSequential;
@@ -178,10 +171,6 @@ ScenarioSpec parse_scenario(std::string_view text) {
       const std::uint64_t v = parse_u64(value, line_no);
       if (v > kMaxMiniRounds) fail(line_no, "campaign.w6d_mini_rounds out of range");
       c.w6d_mini_rounds = static_cast<std::size_t>(v);
-    } else if (key == "campaign.sink") {
-      c.sink = parse_sink(value, line_no);
-    } else if (key == "campaign.spool_dir") {
-      c.spool_dir = std::string(value);
     } else if (key == "monitor.identity_threshold") {
       m.identity_threshold = parse_double(value, line_no);
     } else if (key == "monitor.ci_rel") {

@@ -27,7 +27,6 @@ TEST(ConfigLoader, EmptyTextYieldsPaperDefaults) {
   EXPECT_DOUBLE_EQ(spec.campaign.monitor.ci_rel, paper.monitor.ci_rel);
   EXPECT_EQ(spec.campaign.monitor.max_parallel_sites,
             paper.monitor.max_parallel_sites);
-  EXPECT_EQ(spec.campaign.sink, paper.sink);
 }
 
 TEST(ConfigLoader, CommentsAndWhitespaceAreIgnored) {
@@ -55,8 +54,6 @@ TEST(ConfigLoader, EveryKeyLands) {
       "campaign.seed = 6\n"
       "campaign.threads = 3\n"
       "campaign.w6d_mini_rounds = 12\n"
-      "campaign.sink = spool\n"
-      "campaign.spool_dir = out/spool\n"
       "monitor.identity_threshold = 0.07\n"
       "monitor.ci_rel = 0.2\n"
       "monitor.confidence = 0.9\n"
@@ -89,8 +86,6 @@ TEST(ConfigLoader, EveryKeyLands) {
   EXPECT_EQ(c.seed, 6u);
   EXPECT_EQ(c.threads, 3u);
   EXPECT_EQ(c.w6d_mini_rounds, 12u);
-  EXPECT_EQ(c.sink, core::SinkBackend::kSpool);
-  EXPECT_EQ(c.spool_dir, "out/spool");
   const core::MonitorConfig& m = c.monitor;
   EXPECT_DOUBLE_EQ(m.identity_threshold, 0.07);
   EXPECT_DOUBLE_EQ(m.ci_rel, 0.2);
@@ -120,18 +115,10 @@ TEST(ConfigLoader, EveryKeyLands) {
   EXPECT_EQ(spec.evolution.depletion_round, 12u);
 }
 
-TEST(ConfigLoader, SinkSpellings) {
-  EXPECT_EQ(parse_scenario("campaign.sink = mutex\n").campaign.sink,
-            core::SinkBackend::kMutex);
-  EXPECT_EQ(parse_scenario("campaign.sink = sharded\n").campaign.sink,
-            core::SinkBackend::kSharded);
-  EXPECT_THROW(parse_scenario("campaign.sink = ring\n"), ParseError);
-}
-
 TEST(ConfigLoader, BoolSpellings) {
   EXPECT_TRUE(parse_scenario("evolution.enabled = yes\n").evolution.enabled);
   EXPECT_FALSE(parse_scenario("evolution.enabled = off\n").evolution.enabled);
-  EXPECT_THROW(parse_scenario("evolution.enabled = maybe\n"), ParseError);
+  EXPECT_THROW((void)parse_scenario("evolution.enabled = maybe\n"), ParseError);
 }
 
 // Keys that once selected a schedule, a fast path or a DNS cache are gone
@@ -140,7 +127,8 @@ TEST(ConfigLoader, BoolSpellings) {
 TEST(ConfigLoader, RejectsRemovedKeysWithLineNumbers) {
   for (const char* key :
        {"campaign.executor = false", "campaign.fast_path = false",
-        "dns.cache_rounds = 3"}) {
+        "dns.cache_rounds = 3", "campaign.sink = sharded", "campaign.sink = spool",
+        "campaign.spool_dir = out/spool"}) {
     try {
       (void)parse_scenario(std::string("world.seed = 1\n") + key + "\n");
       FAIL() << "accepted: " << key;
@@ -175,29 +163,29 @@ TEST(ConfigLoader, RejectsWithLineNumbers) {
 }
 
 TEST(ConfigLoader, RejectsOutOfDomainValues) {
-  EXPECT_THROW(parse_scenario("world.scale = 0\n"), ParseError);
-  EXPECT_THROW(parse_scenario("world.scale = 101\n"), ParseError);
-  EXPECT_THROW(parse_scenario("campaign.threads = 5000\n"), ParseError);
-  EXPECT_THROW(parse_scenario("monitor.max_downloads = 70000\n"), ParseError);
-  EXPECT_THROW(parse_scenario("monitor.max_parallel_sites = 0\n"), ParseError);
+  EXPECT_THROW((void)parse_scenario("world.scale = 0\n"), ParseError);
+  EXPECT_THROW((void)parse_scenario("world.scale = 101\n"), ParseError);
+  EXPECT_THROW((void)parse_scenario("campaign.threads = 5000\n"), ParseError);
+  EXPECT_THROW((void)parse_scenario("monitor.max_downloads = 70000\n"), ParseError);
+  EXPECT_THROW((void)parse_scenario("monitor.max_parallel_sites = 0\n"), ParseError);
   // Values the line parser accepts but MonitorConfig::validate rejects
   // surface as the same ConfigError a programmatic misconfiguration gets.
-  EXPECT_THROW(parse_scenario("monitor.min_downloads = 1\n"), ConfigError);
-  EXPECT_THROW(parse_scenario("monitor.confidence = 1.5\n"), ConfigError);
+  EXPECT_THROW((void)parse_scenario("monitor.min_downloads = 1\n"), ConfigError);
+  EXPECT_THROW((void)parse_scenario("monitor.confidence = 1.5\n"), ConfigError);
   EXPECT_THROW(
-      parse_scenario("monitor.min_downloads = 9\nmonitor.max_downloads = 8\n"),
+      (void)parse_scenario("monitor.min_downloads = 9\nmonitor.max_downloads = 8\n"),
       ConfigError);
   // Evolution keys: the integer parser rejects structurally bad values
   // (ParseError); EvolutionSpec::validate rejects out-of-domain ones
   // (ConfigError), matching programmatic misuse.
-  EXPECT_THROW(parse_scenario("evolution.epoch_interval = 0\n"), ParseError);
-  EXPECT_THROW(parse_scenario("evolution.epoch_interval = 4294967295\n"),
+  EXPECT_THROW((void)parse_scenario("evolution.epoch_interval = 0\n"), ParseError);
+  EXPECT_THROW((void)parse_scenario("evolution.epoch_interval = 4294967295\n"),
                ParseError);  // web::kNever is reserved
-  EXPECT_THROW(parse_scenario("evolution.delta_rate = 0\n"), ConfigError);
-  EXPECT_THROW(parse_scenario("evolution.delta_rate = 500\n"), ConfigError);
-  EXPECT_THROW(parse_scenario("evolution.max_as_fraction = 0\n"), ConfigError);
-  EXPECT_THROW(parse_scenario("evolution.max_as_fraction = 1.5\n"), ConfigError);
-  EXPECT_THROW(parse_scenario("evolution.enabled = maybe\n"), ParseError);
+  EXPECT_THROW((void)parse_scenario("evolution.delta_rate = 0\n"), ConfigError);
+  EXPECT_THROW((void)parse_scenario("evolution.delta_rate = 500\n"), ConfigError);
+  EXPECT_THROW((void)parse_scenario("evolution.max_as_fraction = 0\n"), ConfigError);
+  EXPECT_THROW((void)parse_scenario("evolution.max_as_fraction = 1.5\n"), ConfigError);
+  EXPECT_THROW((void)parse_scenario("evolution.enabled = maybe\n"), ParseError);
 }
 
 // ISSUE 9 satellite: probability keys outside [0, 1] and negative
@@ -241,9 +229,9 @@ TEST(ConfigLoader, RejectsOutOfDomainFailureKnobsWithLineNumbers) {
 }
 
 TEST(ConfigLoader, InputBoundsHold) {
-  EXPECT_THROW(parse_scenario(std::string(1 << 21, '\n')), ParseError);  // bytes
-  EXPECT_THROW(parse_scenario(std::string(20000, '\n')), ParseError);    // lines
-  EXPECT_THROW(parse_scenario("# " + std::string(8192, 'x') + "\n"),
+  EXPECT_THROW((void)parse_scenario(std::string(1 << 21, '\n')), ParseError);  // bytes
+  EXPECT_THROW((void)parse_scenario(std::string(20000, '\n')), ParseError);    // lines
+  EXPECT_THROW((void)parse_scenario("# " + std::string(8192, 'x') + "\n"),
                ParseError);  // line length
 }
 

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -146,108 +145,47 @@ TEST(Determinism, ThreadCountInvisibleUnderFailureInjection) {
   expect_identical_observables(*serial, *parallel);
 }
 
-// --- Sink-backend matrix ----------------------------------------------------
+// --- Executor scheduling matrix --------------------------------------------
 //
-// The ingest backend (single-mutex store, per-worker sharded store, or
-// binary spool with replay) must be as invisible as the thread count:
-// every (backend, threads) cell of the matrix reproduces the serial
-// mutex reference byte for byte — observation CSVs, per-round counters,
-// and the analysis tables built on top.
+// The task-graph executor is a scheduling layer, not a semantic one. The
+// reference cell drives the regular rounds by hand (run_rounds_serially:
+// threads=1, no graph), and run()'s graph must reproduce it byte for
+// byte at threads {1, 8} — observation CSVs, per-round counters, and the
+// analysis tables built on top.
 
-std::unique_ptr<Campaign> run_with(SinkBackend sink, unsigned threads,
-                                   std::uint64_t seed, const std::string& spool_dir,
+std::unique_ptr<Campaign> run_with(unsigned threads, std::uint64_t seed,
                                    double dns_timeout_prob = 0.0,
                                    double dl_failure_prob = 0.0,
                                    bool serial_rounds = false) {
   CampaignConfig cfg;
   cfg.seed = seed;
   cfg.threads = threads;
-  cfg.sink = sink;
-  cfg.spool_dir = spool_dir;
-  if (sink == SinkBackend::kSpool) std::filesystem::create_directories(spool_dir);
   cfg.monitor.dns.timeout_prob = dns_timeout_prob;
   cfg.monitor.download.failure_prob = dl_failure_prob;
   return run_campaign(tiny_world(), cfg, serial_rounds);
 }
 
-class SinkBackendMatrix : public ::testing::TestWithParam<SinkBackend> {};
-
-TEST_P(SinkBackendMatrix, ByteIdenticalToSerialMutexReference) {
-  const std::string dir = ::testing::TempDir();
-  const auto reference =
-      run_with(SinkBackend::kMutex, 1, 2011, dir + "/ref");
-  const auto serial = run_with(GetParam(), 1, 2011, dir + "/t1");
-  const auto parallel = run_with(GetParam(), 8, 2011, dir + "/t8");
-
-  expect_identical_observables(*reference, *serial);
-  expect_identical_observables(*reference, *parallel);
-  EXPECT_EQ(table4_csv(*reference), table4_csv(*serial));
-  EXPECT_EQ(table4_csv(*reference), table4_csv(*parallel));
-}
-
-TEST_P(SinkBackendMatrix, ByteIdenticalUnderFailureInjection) {
-  const std::string dir = ::testing::TempDir();
-  const auto reference =
-      run_with(SinkBackend::kMutex, 1, 404, dir + "/fref", 0.2, 0.05);
-  const auto parallel = run_with(GetParam(), 8, 404, dir + "/ft8", 0.2, 0.05);
-
-  expect_identical_observables(*reference, *parallel);
-  EXPECT_EQ(table4_csv(*reference), table4_csv(*parallel));
-}
-
-INSTANTIATE_TEST_SUITE_P(AllBackends, SinkBackendMatrix,
-                         ::testing::Values(SinkBackend::kMutex,
-                                           SinkBackend::kSharded,
-                                           SinkBackend::kSpool),
-                         [](const auto& cell) {
-                           switch (cell.param) {
-                             case SinkBackend::kMutex: return "Mutex";
-                             case SinkBackend::kSharded: return "Sharded";
-                             case SinkBackend::kSpool: return "Spool";
-                           }
-                           return "Unknown";
-                         });
-
-// --- Executor scheduling matrix --------------------------------------------
-//
-// The task-graph executor is a scheduling layer, not a semantic one. The
-// reference cell drives the regular rounds by hand (run_rounds_serially:
-// threads=1, mutex sink, no graph), and run()'s graph must reproduce it
-// byte for byte across threads and sink backends.
 TEST(Determinism, ExecutorSchedulingInvisible) {
-  const std::string dir = ::testing::TempDir();
-  const auto reference = run_with(SinkBackend::kMutex, 1, 2011, dir + "/xref",
-                                  0.0, 0.0, /*serial_rounds=*/true);
-  const struct {
-    SinkBackend sink;
-    unsigned threads;
-    const char* tag;
-  } cells[] = {
-      {SinkBackend::kMutex, 1, "mutex-t1"},
-      {SinkBackend::kMutex, 8, "mutex-t8"},
-      {SinkBackend::kSharded, 8, "sharded-t8"},
-      {SinkBackend::kSpool, 8, "spool-t8"},
-  };
-  for (const auto& cell : cells) {
-    SCOPED_TRACE(cell.tag);
-    const auto run =
-        run_with(cell.sink, cell.threads, 2011, dir + "/x-" + cell.tag, 0.0, 0.0);
+  const auto reference = run_with(1, 2011, 0.0, 0.0, /*serial_rounds=*/true);
+  for (const unsigned threads : {1u, 8u}) {
+    SCOPED_TRACE(threads);
+    const auto run = run_with(threads, 2011);
     expect_identical_observables(*reference, *run);
     EXPECT_EQ(table4_csv(*reference), table4_csv(*run));
   }
 }
 
-// Same matrix corner under failure injection: the RNG-hungriest paths,
-// now also crossing the executor's pipelined round boundaries (VP-a may
-// be rounds ahead of VP-b when both draw from their streams).
+// Same matrix under failure injection: the RNG-hungriest paths, now also
+// crossing the executor's pipelined round boundaries (VP-a may be rounds
+// ahead of VP-b when both draw from their streams).
 TEST(Determinism, ExecutorSchedulingInvisibleUnderFailureInjection) {
-  const std::string dir = ::testing::TempDir();
-  const auto reference = run_with(SinkBackend::kMutex, 1, 404, dir + "/xfref",
-                                  0.2, 0.05, /*serial_rounds=*/true);
-  const auto executor = run_with(SinkBackend::kSharded, 8, 404, dir + "/xf8",
-                                 0.2, 0.05);
-  expect_identical_observables(*reference, *executor);
-  EXPECT_EQ(table4_csv(*reference), table4_csv(*executor));
+  const auto reference = run_with(1, 404, 0.2, 0.05, /*serial_rounds=*/true);
+  for (const unsigned threads : {1u, 8u}) {
+    SCOPED_TRACE(threads);
+    const auto run = run_with(threads, 404, 0.2, 0.05);
+    expect_identical_observables(*reference, *run);
+    EXPECT_EQ(table4_csv(*reference), table4_csv(*run));
+  }
 }
 
 // The RIBs a campaign reads must themselves be schedule-free: building the

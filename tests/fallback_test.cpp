@@ -9,8 +9,8 @@
 //     including the race tie-break (ties go to IPv6), which downstream
 //     fallback rates silently depend on.
 //  3. Campaign-level determinism: kSequential / kRace tallies, conn.*
-//     counters and the handshake histogram are byte-identical across
-//     threads {1,8} x sinks {mutex,sharded,spool}; observation CSVs are
+//     counters and the handshake histogram at threads {1,8} are
+//     byte-identical to the serial reference; observation CSVs are
 //     byte-identical across all three policies (the conn layer draws
 //     from its own child stream); kNone leaves every fallback stat at
 //     zero. Plus the ISSUE 9 satellite bugfix pins: the all-attempts-fail
@@ -20,7 +20,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
@@ -33,6 +32,7 @@
 #include "obs/metrics.h"
 #include "scenario/evolution.h"
 #include "scenario/world_builder.h"
+#include "serial_rounds.h"
 #include "transport/connection.h"
 #include "transport/download.h"
 #include "util/error.h"
@@ -292,24 +292,25 @@ const World& tiny_world() {
   return w;
 }
 
-std::unique_ptr<Campaign> run_campaign(const World& world, CampaignConfig cfg) {
-  if (cfg.sink == SinkBackend::kSpool) {
-    std::filesystem::create_directories(cfg.spool_dir);
-  }
+/// Run a complete campaign; with `serial_rounds` the regular rounds go
+/// through run_rounds_serially instead of run()'s executor graph.
+std::unique_ptr<Campaign> run_campaign(const World& world, CampaignConfig cfg,
+                                       bool serial_rounds = false) {
   auto campaign = std::make_unique<Campaign>(world, std::move(cfg));
-  campaign->run();
+  if (serial_rounds) {
+    run_rounds_serially(*campaign);
+  } else {
+    campaign->run();
+  }
   campaign->run_w6d();
   campaign->finalize();
   return campaign;
 }
 
-CampaignConfig fallback_cfg(FallbackPolicy policy, unsigned threads,
-                            SinkBackend sink) {
+CampaignConfig fallback_cfg(FallbackPolicy policy, unsigned threads) {
   CampaignConfig cfg;
   cfg.seed = 2011;
   cfg.threads = threads;
-  cfg.sink = sink;
-  cfg.spool_dir = "fallback_test_spool";
   cfg.monitor.fallback = policy;
   return cfg;
 }
@@ -346,11 +347,12 @@ struct ConnSnapshot {
   std::vector<std::uint64_t> handshake_bins;
 };
 
-ConnSnapshot run_and_snapshot(const World& world, CampaignConfig cfg) {
+ConnSnapshot run_and_snapshot(const World& world, CampaignConfig cfg,
+                              bool serial_rounds = false) {
   auto& metrics = obs::metrics();
   metrics.reset();
   metrics.set_enabled(true);
-  const auto campaign = run_campaign(world, std::move(cfg));
+  const auto campaign = run_campaign(world, std::move(cfg), serial_rounds);
   ConnSnapshot snap;
   for (std::size_t vp = 0; vp < world.vantage_points.size(); ++vp) {
     snap.per_vp.push_back(campaign->fallback_stats(vp));
@@ -383,18 +385,19 @@ void expect_snapshot_eq(const ConnSnapshot& a, const ConnSnapshot& b) {
   EXPECT_EQ(a.handshake_bins, b.handshake_bins);
 }
 
-TEST(FallbackDeterminism, TalliesInvariantAcrossThreadsAndSinks) {
-  // The full {threads} x {sink} matrix for both enabled policies, each
-  // cell compared against the serial mutex reference. DNS timeout
+TEST(FallbackDeterminism, TalliesInvariantAcrossThreads) {
+  // threads {1, 8} for both enabled policies, each cell compared against
+  // the serial reference (rounds driven by hand, threads=1). DNS timeout
   // injection rides along so dns.timeouts is pinned in the same matrix
   // (the ISSUE 9 resolver-accounting satellite).
   const World& world = tiny_world();
   for (const FallbackPolicy policy :
        {FallbackPolicy::kSequential, FallbackPolicy::kRace}) {
     SCOPED_TRACE(fallback_policy_name(policy));
-    CampaignConfig ref_cfg = fallback_cfg(policy, 1, SinkBackend::kMutex);
+    CampaignConfig ref_cfg = fallback_cfg(policy, 1);
     ref_cfg.monitor.dns.timeout_prob = 0.1;
-    const ConnSnapshot reference = run_and_snapshot(world, ref_cfg);
+    const ConnSnapshot reference =
+        run_and_snapshot(world, ref_cfg, /*serial_rounds=*/true);
 
     // Sanity on the reference itself: the policy actually dialed sites
     // and the taxonomy sums close.
@@ -407,16 +410,11 @@ TEST(FallbackDeterminism, TalliesInvariantAcrossThreadsAndSinks) {
     ASSERT_GT(evaluated, 0u);
     EXPECT_GT(reference.dns_timeouts, 0u);
 
-    for (const SinkBackend sink :
-         {SinkBackend::kMutex, SinkBackend::kSharded, SinkBackend::kSpool}) {
-      for (const unsigned threads : {1u, 8u}) {
-        if (sink == SinkBackend::kMutex && threads == 1) continue;  // reference
-        SCOPED_TRACE("sink " + std::to_string(static_cast<int>(sink)) +
-                     " threads " + std::to_string(threads));
-        CampaignConfig cfg = fallback_cfg(policy, threads, sink);
-        cfg.monitor.dns.timeout_prob = 0.1;
-        expect_snapshot_eq(reference, run_and_snapshot(world, cfg));
-      }
+    for (const unsigned threads : {1u, 8u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      CampaignConfig cfg = fallback_cfg(policy, threads);
+      cfg.monitor.dns.timeout_prob = 0.1;
+      expect_snapshot_eq(reference, run_and_snapshot(world, cfg));
     }
   }
 }
@@ -427,12 +425,9 @@ TEST(FallbackDeterminism, ObservationBytesIdenticalAcrossPolicies) {
   // stream is a child of the site RNG and child derivation consumes no
   // parent draws.
   const World& world = tiny_world();
-  const auto none = run_campaign(world, fallback_cfg(FallbackPolicy::kNone, 2,
-                                                     SinkBackend::kSharded));
-  const auto seq = run_campaign(world, fallback_cfg(FallbackPolicy::kSequential, 2,
-                                                    SinkBackend::kSharded));
-  const auto race = run_campaign(world, fallback_cfg(FallbackPolicy::kRace, 2,
-                                                     SinkBackend::kSharded));
+  const auto none = run_campaign(world, fallback_cfg(FallbackPolicy::kNone, 2));
+  const auto seq = run_campaign(world, fallback_cfg(FallbackPolicy::kSequential, 2));
+  const auto race = run_campaign(world, fallback_cfg(FallbackPolicy::kRace, 2));
   for (std::size_t vp = 0; vp < world.vantage_points.size(); ++vp) {
     SCOPED_TRACE(world.vantage_points[vp].name);
     const std::string reference = none->results(vp).to_csv();
@@ -460,8 +455,7 @@ TEST(FallbackDeterminism, SequentialFallsBackWhenTheV6ChainDies) {
   // carry those sites over IPv4, record the reset taxonomy, and charge
   // the fallback tax for the dead v6 chain.
   const World& world = tiny_world();
-  CampaignConfig cfg =
-      fallback_cfg(FallbackPolicy::kSequential, 2, SinkBackend::kSharded);
+  CampaignConfig cfg = fallback_cfg(FallbackPolicy::kSequential, 2);
   cfg.monitor.conn.reset_prob = 0.25;
   const auto campaign = run_campaign(world, cfg);
   FallbackStats total;
@@ -498,7 +492,7 @@ TEST(FallbackEvolvingWorld, WithdrawalsSurfaceAsNoRouteMidCampaign) {
         std::make_unique<WorldTimeline>(scenario::build_timeline(spec));
     timeline->set_advance_mode(mode);
     auto campaign = std::make_unique<Campaign>(
-        *timeline, fallback_cfg(FallbackPolicy::kSequential, 2, SinkBackend::kSharded));
+        *timeline, fallback_cfg(FallbackPolicy::kSequential, 2));
     campaign->run();
     campaign->run_w6d();
     campaign->finalize();

@@ -8,6 +8,8 @@
 #    tables) into ./full_study_out/, which it must create itself.
 # 2. When ./full_study_out cannot be a directory (a plain file sits at
 #    that path, which blocks even a root user), it exits non-zero.
+# 3. A third positional argument (`full_study 2011 0.05 spool`) exits 2
+#    with the usage line, before writing anything.
 
 if(NOT FULL_STUDY OR NOT WORK_DIR)
   message(FATAL_ERROR "need -DFULL_STUDY=... and -DWORK_DIR=...")
@@ -50,4 +52,17 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "full_study exited 0 with an unwritable output directory")
 endif()
 
-file(REMOVE_RECURSE "${fresh}" "${blocked}")
+set(extra "${WORK_DIR}/extra")
+file(REMOVE_RECURSE "${extra}")
+file(MAKE_DIRECTORY "${extra}")
+execute_process(COMMAND "${FULL_STUDY}" 2011 0.05 spool
+  WORKING_DIRECTORY "${extra}"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "^usage: full_study ")
+  message(FATAL_ERROR "full_study with a third positional argument exited ${rc}:\n${err}")
+endif()
+if(EXISTS "${extra}/full_study_out")
+  message(FATAL_ERROR "full_study wrote outputs despite a usage error")
+endif()
+
+file(REMOVE_RECURSE "${fresh}" "${blocked}" "${extra}")

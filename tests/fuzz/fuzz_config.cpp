@@ -5,7 +5,13 @@
 // ConfigError) — no crashes, no non-finite values smuggled into
 // MonitorConfig, no unbounded allocation.
 //
-// Build modes: see fuzz_spool.cpp.
+// Built two ways (tests/fuzz/CMakeLists.txt):
+//  * V6MON_FUZZ=ON (clang): linked with -fsanitize=fuzzer; libFuzzer
+//    drives LLVMFuzzerTestOneInput with coverage-guided mutations of
+//    the seed corpus in tests/fuzz/corpus/config/.
+//  * otherwise: fuzz_driver_main.cpp provides a main() that replays
+//    every corpus file through the same entry point, so the boundary
+//    stays exercised by ctest on every toolchain.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,21 +1,18 @@
-// ObservationSink backends: the mutex reference, the sharded in-memory
-// store, and the binary spool. The contract under test is simple to
-// state and strict: whatever backend carried the observations, the
-// finalized ResultsDb — rows, counters, path contents, CSV bytes — is
-// identical.
+// The sharded observation sink against the reference it replaces: the
+// same observations and counters written straight into a ResultsDb with
+// add/count/count_listed under the database's own mutex. The contract
+// under test is simple to state and strict: the finalized ResultsDb —
+// rows, counters, path contents, CSV bytes — is identical however many
+// lanes carried the rows.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/results.h"
 #include "core/sink.h"
-#include "core/spool.h"
-#include "util/error.h"
 
 namespace v6mon::core {
 namespace {
@@ -37,10 +34,10 @@ Observation sample_obs(std::uint32_t site, std::uint32_t round, PathId v4,
   return o;
 }
 
-/// Drive any sink through one epoch with a handful of observations and
-/// counters, mimicking what a campaign round does.
-void drive(ObservationSink& sink) {
-  ObservationSink::Lane& lane = sink.lane();
+/// Drive the sink through two epochs with a handful of observations and
+/// counters, mimicking what campaign rounds do.
+void drive(ShardedSink& sink) {
+  ShardedSink::Lane& lane = sink.lane();
   const PathId a = lane.paths().intern({1, 2, 3});
   const PathId b = lane.paths().intern({1, 2, 4});
   const PathId local = lane.paths().intern({});
@@ -52,17 +49,40 @@ void drive(ObservationSink& sink) {
   lane.count(0, MonitorStatus::kMeasured);
   lane.count(0, MonitorStatus::kMeasured);
   lane.count(0, MonitorStatus::kV6DownloadFailed);
-  lane.count(0, MonitorStatus::kV4Only);
+  lane.count(0, MonitorStatus::kV4Only, 3);
   sink.count_listed(0, 40);
   sink.flush();
 
   // Second epoch: revisit one site, one new path, a new round's counters.
-  ObservationSink::Lane& lane2 = sink.lane();
+  ShardedSink::Lane& lane2 = sink.lane();
   const PathId c = lane2.paths().intern({9, 8});
   lane2.record(sample_obs(10, 1, c, c));
   lane2.count(1, MonitorStatus::kMeasured);
   sink.count_listed(1, 41);
-  sink.finish();
+  sink.flush();
+}
+
+/// The reference for drive(): the same calls made directly on the
+/// database, path ids interned into its own registry.
+void write_direct(ResultsDb& db) {
+  const PathId a = db.paths().intern({1, 2, 3});
+  const PathId b = db.paths().intern({1, 2, 4});
+  const PathId local = db.paths().intern({});
+  db.add(sample_obs(10, 0, a, b));
+  db.add(sample_obs(11, 0, b, local));
+  Observation pathless = sample_obs(12, 0, kNoPath, kNoPath);
+  pathless.status = MonitorStatus::kV6DownloadFailed;
+  db.add(pathless);
+  db.count(0, MonitorStatus::kMeasured);
+  db.count(0, MonitorStatus::kMeasured);
+  db.count(0, MonitorStatus::kV6DownloadFailed);
+  db.count(0, MonitorStatus::kV4Only, 3);
+  db.count_listed(0, 40);
+
+  const PathId c = db.paths().intern({9, 8});
+  db.add(sample_obs(10, 1, c, c));
+  db.count(1, MonitorStatus::kMeasured);
+  db.count_listed(1, 41);
 }
 
 void expect_same_finalized(const ResultsDb& a, const ResultsDb& b) {
@@ -83,113 +103,68 @@ void expect_same_finalized(const ResultsDb& a, const ResultsDb& b) {
 }
 
 TEST(Sink, ShardedMatchesMutexReference) {
-  ResultsDb mdb, sdb;
-  MutexSink msink(mdb);
-  ShardedSink ssink(sdb);
-  drive(msink);
-  drive(ssink);
-  mdb.finalize();
-  sdb.finalize();
-  expect_same_finalized(mdb, sdb);
-  EXPECT_EQ(ssink.shard_count(), 1u);  // single-threaded drive: one shard
+  ResultsDb direct_db, sharded_db;
+  write_direct(direct_db);
+  ShardedSink sink(sharded_db);
+  drive(sink);
+  direct_db.finalize();
+  sharded_db.finalize();
+  expect_same_finalized(direct_db, sharded_db);
+  EXPECT_EQ(sink.shard_count(), 1u);  // single-threaded drive: one shard
 }
 
 TEST(Sink, ShardedFlushCanonicalizesWholeRegistry) {
   // Paths interned but never referenced by a recorded observation still
-  // reach the database registry — keeping paths().size() an invariant
-  // across backends (the mutex sink interns directly into the db).
+  // reach the database registry — keeping paths().size() equal to that
+  // of direct writes, which intern straight into the db.
   ResultsDb db;
   ShardedSink sink(db);
-  ObservationSink::Lane& lane = sink.lane();
+  ShardedSink::Lane& lane = sink.lane();
   lane.paths().intern({5, 6, 7});  // interned, never recorded
-  sink.finish();
+  sink.flush();
   EXPECT_EQ(db.paths().size(), 1u);
 }
 
-TEST(Sink, SpoolRoundTripMatchesMutexReference) {
-  const std::string path = ::testing::TempDir() + "/roundtrip.spool";
-  ResultsDb mdb, sdb;
-  MutexSink msink(mdb);
-  drive(msink);
-  {
-    SpoolSink spool(path);
-    drive(spool);
-    EXPECT_TRUE(spool.ok());
+TEST(Sink, ShardedCanonicalizesPathIdsAcrossLanes) {
+  // Two lanes intern overlapping paths in opposite orders, so the same
+  // lane-local id names different paths in each lane. Flush must map
+  // every row onto one canonical registry: each distinct path once, and
+  // every row rendering the path its lane meant.
+  const std::vector<std::vector<topo::Asn>> paths = {{1, 2, 3}, {1, 2, 4}, {5, 6}};
+  ResultsDb direct_db, sharded_db;
+  ShardedSink sink(sharded_db);
+  const auto lane_rows = [&](std::uint32_t site_base, bool reversed) {
+    ShardedSink::Lane& lane = sink.lane();
+    for (std::size_t k = 0; k < paths.size(); ++k) {
+      const std::size_t p = reversed ? paths.size() - 1 - k : k;
+      const PathId v4 = lane.paths().intern(paths[p]);
+      const PathId v6 = lane.paths().intern(paths[(p + 1) % paths.size()]);
+      lane.record(sample_obs(site_base + static_cast<std::uint32_t>(p), 0, v4, v6));
+      lane.count(0, MonitorStatus::kMeasured);
+    }
+  };
+  std::thread first(lane_rows, 100, false);
+  std::thread second(lane_rows, 200, true);
+  first.join();
+  second.join();
+  sink.count_listed(0, 6);
+  sink.flush();
+
+  for (const std::uint32_t site_base : {100u, 200u}) {
+    for (std::size_t p = 0; p < paths.size(); ++p) {
+      direct_db.add(sample_obs(site_base + static_cast<std::uint32_t>(p), 0,
+                               direct_db.paths().intern(paths[p]),
+                               direct_db.paths().intern(paths[(p + 1) % paths.size()])));
+      direct_db.count(0, MonitorStatus::kMeasured);
+    }
   }
-  replay_spool_file(path, sdb);
-  mdb.finalize();
-  sdb.finalize();
-  expect_same_finalized(mdb, sdb);
-  std::remove(path.c_str());
-}
+  direct_db.count_listed(0, 6);
 
-TEST(Sink, SpoolWriterRejectsUnopenablePath) {
-  EXPECT_THROW(SpoolWriter("/nonexistent-dir-v6mon/x.spool"), v6mon::Error);
-  ResultsDb db;
-  EXPECT_THROW(replay_spool_file("/nonexistent-dir-v6mon/x.spool", db),
-               v6mon::Error);
-}
-
-// --- Malformed spool streams ----------------------------------------------
-
-std::string valid_spool_bytes() {
-  const std::string path = ::testing::TempDir() + "/valid.spool";
-  {
-    SpoolSink spool(path);
-    drive(spool);
-  }
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::remove(path.c_str());
-  return buf.str();
-}
-
-void expect_replay_throws(const std::string& bytes) {
-  std::istringstream in(bytes);
-  ResultsDb db;
-  EXPECT_THROW(replay_spool(in, db), v6mon::Error);
-}
-
-TEST(Sink, ReplayRejectsBadMagic) {
-  std::string bytes = valid_spool_bytes();
-  bytes[0] = 'X';
-  expect_replay_throws(bytes);
-}
-
-TEST(Sink, ReplayRejectsTruncation) {
-  const std::string bytes = valid_spool_bytes();
-  // Chop anywhere after the magic: mid-record, mid-header, or right
-  // before the end record — every cut must be detected.
-  for (const std::size_t keep :
-       {bytes.size() - 1, bytes.size() - 9, std::size_t{9}, std::size_t{20}}) {
-    ASSERT_LT(keep, bytes.size());
-    ASSERT_GT(keep, std::size_t{8});
-    expect_replay_throws(bytes.substr(0, keep));
-  }
-}
-
-TEST(Sink, ReplayRejectsTrailingGarbage) {
-  expect_replay_throws(valid_spool_bytes() + '\0');
-}
-
-TEST(Sink, ReplayRejectsUndefinedPathId) {
-  // Header + one observation whose v4 path id (0) was never defined.
-  std::string bytes = "V6SPOOL1";
-  bytes += '\x02';                         // Obs tag
-  bytes += std::string(8, '\0');           // site, round
-  bytes += '\x06';                         // status = kMeasured
-  bytes += std::string(8, '\0');           // speed bits
-  bytes += std::string(4, '\0');           // sample counts
-  bytes += std::string(4, '\0');           // v4 path id = 0 (undefined)
-  bytes += "\xff\xff\xff\xff";             // v6 path id = none
-  bytes += std::string(8, '\0');           // origins
-  expect_replay_throws(bytes);
-}
-
-TEST(Sink, ReplayRejectsMissingEndRecord) {
-  // A header-only stream never saw finish(): treat as truncated.
-  expect_replay_throws("V6SPOOL1");
+  direct_db.finalize();
+  sharded_db.finalize();
+  EXPECT_EQ(sink.shard_count(), 2u);
+  EXPECT_EQ(sharded_db.paths().size(), paths.size());
+  expect_same_finalized(direct_db, sharded_db);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 //      byte-identical to a campaign over the bare World (the frozen,
 //      pre-epoch code path).
 //   2. An *evolving* campaign is a pure function of (spec, seed): the
-//      thread count and sink backend stay performance knobs, exactly as
-//      for frozen campaigns.
+//      thread count stays a performance knob, exactly as for frozen
+//      campaigns.
 //   3. The incremental RIB path (compute_routes_delta over the dirty-AS
 //      frontier) and the from-scratch rebuild mode produce byte-identical
 //      campaigns — the per-epoch oracle of bgp_delta_test, lifted to the
@@ -20,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -144,39 +143,27 @@ TEST(WorldTimeline, EmptyTimelineCampaignIsByteIdenticalToFrozenWorld) {
 
 // --- 2. Evolving determinism matrix ----------------------------------------
 
-TEST(WorldTimeline, EvolvingCampaignThreadAndSinkInvisible) {
+TEST(WorldTimeline, EvolvingCampaignThreadCountInvisible) {
   const scenario::WorldSpec spec = evolving_spec();
   // Reference: the rounds driven by hand, round-major, advancing the
   // world at every round boundary (run_rounds_serially). Every run()
   // cell — gate-node quiescence instead — must reproduce it byte for
-  // byte, across threads and sinks.
+  // byte, at threads {1, 8}.
   CampaignConfig ref_cfg;
   ref_cfg.seed = 2011;
   ref_cfg.threads = 1;
-  ref_cfg.sink = SinkBackend::kMutex;
   const auto reference =
       run_evolving(spec, ref_cfg, EpochAdvanceMode::kIncremental, /*serial_rounds=*/true);
   ASSERT_GT(reference.timeline->num_epochs(), 0u)
       << "evolving_spec produced no epochs; the matrix tests nothing";
   EXPECT_EQ(reference.timeline->current_epoch(), reference.timeline->num_epochs());
 
-  const std::string dir = ::testing::TempDir();
-  int cell = 0;
   for (const unsigned threads : {1u, 8u}) {
-    for (const SinkBackend sink :
-         {SinkBackend::kMutex, SinkBackend::kSharded, SinkBackend::kSpool}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " sink=" + std::to_string(static_cast<int>(sink)));
-      CampaignConfig cfg = ref_cfg;
-      cfg.threads = threads;
-      cfg.sink = sink;
-      cfg.spool_dir = dir + "/evo" + std::to_string(cell++);
-      if (sink == SinkBackend::kSpool) {
-        std::filesystem::create_directories(cfg.spool_dir);
-      }
-      const auto run = run_evolving(spec, cfg);
-      expect_identical_observables(*reference.campaign, *run.campaign);
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CampaignConfig cfg = ref_cfg;
+    cfg.threads = threads;
+    const auto run = run_evolving(spec, cfg);
+    expect_identical_observables(*reference.campaign, *run.campaign);
   }
 }
 

@@ -23,14 +23,14 @@ void run_rounds(Executor& exec) {
   exec.run();
 }
 
-struct SpoolWriter {
+struct TraceWriter {
   void join();
 };
 
 // A join that drains an IO writer at campaign teardown is not a
 // round-scheduling barrier — ALLOW with that reason.
-void finalize(SpoolWriter& writer) {
-  // V6MON_LINT_ALLOW(D007): teardown drain of the spool writer after
+void finalize(TraceWriter& writer) {
+  // V6MON_LINT_ALLOW(D007): teardown drain of the trace writer after
   // the graph completed — no round ordering depends on it
   writer.join();
 }
