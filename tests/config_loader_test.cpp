@@ -121,14 +121,30 @@ TEST(ConfigLoader, BoolSpellings) {
   EXPECT_THROW((void)parse_scenario("evolution.enabled = maybe\n"), ParseError);
 }
 
+// There is one ingest path, so the sink key no longer takes a value:
+// every spelling it once accepted, and the spool directory key it came
+// with, fails as an unknown key naming its line.
+TEST(ConfigLoader, SinkSpellings) {
+  for (const char* key : {"campaign.sink = mutex", "campaign.sink = sharded",
+                          "campaign.sink = spool", "campaign.sink = ring",
+                          "campaign.spool_dir = out/spool"}) {
+    try {
+      (void)parse_scenario(std::string("world.seed = 1\n") + key + "\n");
+      FAIL() << "accepted: " << key;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos) << e.what();
+    }
+  }
+}
+
 // Keys that once selected a schedule, a fast path or a DNS cache are gone
 // with the code they configured; a file still setting one must fail like
 // any other unknown key, naming its line.
 TEST(ConfigLoader, RejectsRemovedKeysWithLineNumbers) {
   for (const char* key :
        {"campaign.executor = false", "campaign.fast_path = false",
-        "dns.cache_rounds = 3", "campaign.sink = sharded", "campaign.sink = spool",
-        "campaign.spool_dir = out/spool"}) {
+        "dns.cache_rounds = 3"}) {
     try {
       (void)parse_scenario(std::string("world.seed = 1\n") + key + "\n");
       FAIL() << "accepted: " << key;
