@@ -1,6 +1,8 @@
 #include "analysis/tables.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <set>
 
 #include "util/stats.h"
@@ -13,12 +15,36 @@ using util::TextTable;
 // Figures
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// n / d, or 0 for an empty population.
+double share(std::size_t n, std::size_t d) {
+  return d == 0 ? 0.0 : static_cast<double>(n) / static_cast<double>(d);
+}
+
+}  // namespace
+
 std::vector<Fig1Point> fig1_series(const web::SiteCatalog& catalog,
                                    std::uint32_t num_rounds) {
+  // One pass over the v6 site ids: a ranked site is reachable over
+  // [max(first seen, AAAA from), AAAA until) — a difference array over
+  // rounds. Same integer counts as reachability_at, so the same divisions.
+  std::vector<std::int64_t> delta(std::size_t{num_rounds} + 2, 0);
+  for (const std::uint32_t id : catalog.v6_site_ids()) {
+    const web::Site& s = catalog.sites()[id];
+    const std::uint64_t from = std::max(s.first_seen_round, s.v6_from_round);
+    const std::uint64_t until = std::min<std::uint64_t>(s.v6_until_round, num_rounds + 1ULL);
+    if (s.from_dns_cache || from >= until) continue;
+    ++delta[from];
+    --delta[until];
+  }
   std::vector<Fig1Point> out;
   out.reserve(num_rounds + 1);
+  std::int64_t v6 = 0;
   for (std::uint32_t r = 0; r <= num_rounds; ++r) {
-    out.push_back({r, catalog.reachability_at(r), catalog.listed_at(r)});
+    v6 += delta[r];
+    const std::size_t listed = catalog.listed_at(r);
+    out.push_back({r, share(static_cast<std::size_t>(v6), listed), listed});
   }
   return out;
 }
@@ -41,20 +67,23 @@ std::vector<Fig3aBucket> fig3a_buckets(const web::SiteCatalog& catalog,
   static constexpr Def kDefs[] = {{"Top 10", 10},     {"Top 100", 100},
                                   {"Top 1k", 1'000},  {"Top 10k", 10'000},
                                   {"Top 100k", 100'000}, {"Top 1M", 0xffffffffu}};
+  // One pass: count each listed ranked site in the tightest bucket its
+  // rank falls into, then sum the nested buckets outward.
+  std::size_t sites[std::size(kDefs)] = {}, v6[std::size(kDefs)] = {};
+  for (const web::Site& s : catalog.sites()) {
+    if (s.from_dns_cache || s.rank == 0 || !s.in_list_at(round)) continue;
+    std::size_t b = 0;
+    while (s.rank > kDefs[b].max_rank) ++b;
+    ++sites[b];
+    if (s.dual_stack_at(round)) ++v6[b];
+  }
   std::vector<Fig3aBucket> out;
-  for (const Def& d : kDefs) {
-    Fig3aBucket b;
-    b.label = d.label;
-    std::size_t v6 = 0;
-    for (const web::Site& s : catalog.sites()) {
-      if (s.from_dns_cache || s.rank == 0 || s.rank > d.max_rank) continue;
-      if (!s.in_list_at(round)) continue;
-      ++b.sites;
-      if (s.dual_stack_at(round)) ++v6;
+  for (std::size_t b = 0; b < std::size(kDefs); ++b) {
+    if (b > 0) {
+      sites[b] += sites[b - 1];
+      v6[b] += v6[b - 1];
     }
-    b.reachability =
-        b.sites == 0 ? 0.0 : static_cast<double>(v6) / static_cast<double>(b.sites);
-    out.push_back(std::move(b));
+    out.push_back({kDefs[b].label, sites[b], share(v6[b], sites[b])});
   }
   return out;
 }

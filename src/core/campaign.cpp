@@ -79,26 +79,8 @@ CampaignConfig Campaign::resolve(CampaignConfig config) {
   return config;
 }
 
-Campaign::SiteScanIndex::SiteScanIndex(const web::SiteCatalog& catalog) {
-  const std::size_t n = catalog.size();
-  first_seen.reserve(n);
-  v6_from.reserve(n);
-  v6_until.reserve(n);
-  from_cache.reserve(n);
-  for (const web::Site& s : catalog.sites()) {
-    // The scan indexes columns by position; the catalog guarantees
-    // id == position, and everything here silently breaks if that drifts.
-    V6MON_REQUIRE(s.id == first_seen.size(), "site id != catalog position");
-    first_seen.push_back(s.first_seen_round);
-    v6_from.push_back(s.v6_from_round);
-    v6_until.push_back(s.v6_until_round);
-    from_cache.push_back(s.from_dns_cache ? 1 : 0);
-  }
-}
-
 Campaign::Campaign(const World& world, CampaignConfig config)
-    : world_(world), config_(resolve(std::move(config))), pool_(config_.threads),
-      scan_(world.catalog) {
+    : world_(world), config_(resolve(std::move(config))), pool_(config_.threads) {
   for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
     stores_.emplace_back();
     w6d_stores_.emplace_back();
@@ -125,13 +107,6 @@ void Campaign::advance_world(std::uint32_t round) {
   if (timeline_ == nullptr) return;
   for (const WorldChangeSummary& summary : timeline_->advance_to(round)) {
     for (Monitor& monitor : monitors_) monitor.on_world_change(summary);
-    // The packed schedule columns copied the pre-grant AAAA windows; the
-    // round scan would otherwise fast-path granted sites forever.
-    for (const std::uint32_t id : summary.sites_gained_aaaa) {
-      const web::Site& s = world_.catalog.site(id);
-      scan_.v6_from[id] = s.v6_from_round;
-      scan_.v6_until[id] = s.v6_until_round;
-    }
   }
 }
 
@@ -245,28 +220,27 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round,
 
   // Collect this round's work list. The fast path settles v4-only sites
   // inline: with no DNS failure injection their pipeline outcome is
-  // exactly kV4Only (Campaign.FastPathMatchesFullPipeline checks it).
-  const bool can_fast_path = config_.monitor.dns.timeout_prob == 0.0;
+  // exactly kV4Only (Campaign.FastPathMatchesFullPipeline checks it), so
+  // only the catalog's listed dual-stack sites are queued, in id order.
+  // Under failure injection every listed site is queued.
+  const web::SiteCatalog& catalog = world_.catalog;
+  const bool with_supplement = vp.uses_dns_cache_supplement;
+  const std::uint64_t listed = catalog.listed_at(round, with_supplement);
   std::vector<std::uint32_t> work;
-  std::uint64_t listed = 0;
-  std::uint64_t fast_pathed = 0;
-  // Columnar scan (same predicates as Site::in_list_at /
-  // Site::dual_stack_at, over the packed schedule copies): this loop
-  // touches every catalog site for every (vantage point, round) and is
-  // memory-bound, so it reads 13 bytes per site instead of the Site rows.
-  const std::size_t num_sites = scan_.first_seen.size();
-  for (std::uint32_t id = 0; id < num_sites; ++id) {
-    if (scan_.from_cache[id] != 0 && !vp.uses_dns_cache_supplement) continue;
-    if (round < scan_.first_seen[id]) continue;
-    ++listed;
-    if (can_fast_path &&
-        !(scan_.v6_from[id] != web::kNever && round >= scan_.v6_from[id] &&
-          round < scan_.v6_until[id])) {
-      ++fast_pathed;
-      continue;
+  if (config_.monitor.dns.timeout_prob == 0.0) {
+    work = catalog.dual_stack_at(round, with_supplement);
+  } else {
+    for (const web::Site& s : catalog.sites()) {
+      if ((with_supplement || !s.from_dns_cache) && s.in_list_at(round)) {
+        work.push_back(s.id);
+      }
     }
-    work.push_back(id);
   }
+  // Fast-pathed + queued sites together must account for every listed
+  // site — losing work here silently skews every downstream table.
+  V6MON_ENSURE(work.size() <= listed,
+               "work list cannot exceed the listed population");
+  const std::uint64_t fast_pathed = listed - work.size();
   if (fast_pathed != 0) {
     // Fast-pathed sites still count toward the lane and status totals,
     // exactly as the full pipeline would have. Batched: the fast path
@@ -278,10 +252,6 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round,
     obs::metrics().add(campaign_metric_ids().status_id(MonitorStatus::kV4Only),
                        fast_pathed);
   }
-  // Fast-pathed + queued sites together must account for every listed
-  // site — losing work here silently skews every downstream table.
-  V6MON_ENSURE(work.size() <= listed,
-               "work list cannot exceed the listed population");
   sink.count_listed(round, listed);
 
   // Randomize monitoring order (the paper randomizes per round to avoid

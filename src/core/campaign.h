@@ -55,10 +55,10 @@ class Campaign {
   void run();
 
   /// Apply every pending world epoch with epoch round <= `round`:
-  /// advances the timeline, then notifies each vantage point's monitor
-  /// (path-cache sweep + resolved-row invalidation) and refreshes the
-  /// campaign's packed site-schedule columns for sites that gained an
-  /// AAAA. Coordinator-only, quiescent: no run_round may be in flight.
+  /// advances the timeline (the catalog keeps its own round schedule
+  /// index current through AAAA grants), then notifies each vantage
+  /// point's monitor (path-cache sweep + resolved-row invalidation).
+  /// Coordinator-only, quiescent: no run_round may be in flight.
   /// No-op without a timeline. run() calls this; exposed for tests and
   /// examples that drive rounds manually.
   void advance_world(std::uint32_t round);
@@ -116,21 +116,6 @@ class Campaign {
     util::Mutex epoch_mu;
   };
 
-  /// Columnar copy of the three per-site schedule fields the round scan
-  /// needs (list churn, AAAA window, supplement membership). The scan
-  /// visits every catalog site once per (vantage point, round); reading
-  /// the full ~100-byte Site rows makes it a pure memory-bandwidth walk,
-  /// while these packed columns cut the traffic by ~8x. Built once at
-  /// construction from the immutable catalog; site id == index.
-  struct SiteScanIndex {
-    std::vector<std::uint32_t> first_seen;
-    std::vector<std::uint32_t> v6_from;
-    std::vector<std::uint32_t> v6_until;
-    std::vector<std::uint8_t> from_cache;
-
-    explicit SiteScanIndex(const web::SiteCatalog& catalog);
-  };
-
   /// run_round for executor nodes: `inline_sites` is graph_covers_pool()
   /// of the graph the node belongs to (see run_sites).
   void run_round(std::size_t vp_index, std::uint32_t round, bool inline_sites);
@@ -176,7 +161,6 @@ class Campaign {
   std::deque<VpStore> w6d_stores_;
   std::deque<DnsTally> dns_tallies_;
   std::vector<Monitor> monitors_;
-  SiteScanIndex scan_;
   bool finalized_ = false;
 };
 

@@ -165,7 +165,7 @@ Monitor::FamilyMeasurement Monitor::measure_family(
     // run as one batch; the batch size is chosen so the sample count can
     // only *reach* min_downloads on the batch's last attempt — the CI is
     // checked at exactly the points the per-sample loop checked it, and
-    // the draw stream is n back-to-back simulate calls either way.
+    // the draw stream is n back-to-back simulate_prepared calls either way.
     const std::size_t want = times.count() < config_.min_downloads
                                  ? config_.min_downloads - times.count()
                                  : 1;

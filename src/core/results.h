@@ -132,7 +132,7 @@ inline RoundCounters& operator+=(RoundCounters& a, const RoundCounters& b) {
 
 /// Bucket `n` occurrences of one monitoring status into the round's
 /// counters — the single definition of the status→counter mapping,
-/// shared by the mutex store and every sink shard. The bulk form exists
+/// shared by ResultsDb::count and every sink lane. The bulk form exists
 /// for the campaign fast path, which settles hundreds of thousands of
 /// v4-only sites per round: counters are additive, so one add of `n` is
 /// byte-identical to `n` adds of one.

@@ -24,35 +24,6 @@ const DownloadMetricIds& download_metric_ids() {
 
 }  // namespace
 
-DownloadResult DownloadSimulator::simulate(const PathCharacteristics& path,
-                                           double page_kb, double server_rate_kBps,
-                                           util::Rng& rng) const {
-  obs::metrics().add(download_metric_ids().downloads);
-  DownloadResult r;
-  if (!path.valid || page_kb <= 0.0 || server_rate_kBps <= 0.0) {
-    obs::metrics().add(download_metric_ids().failures);
-    return r;
-  }
-  if (params_.failure_prob > 0.0 && rng.chance(params_.failure_prob)) {
-    obs::metrics().add(download_metric_ids().failures);
-    return r;
-  }
-
-  const double rtt_s = std::max(path.rtt_ms, 1.0) / 1000.0;
-  const double window_rate = params_.window_kB / rtt_s;
-  double rate = std::min({server_rate_kBps, path.bottleneck_kBps, window_rate});
-  // Persistent path quality applies to the achieved rate so both good and
-  // bad paths show through (a min() would clamp the upside).
-  rate *= path.quality;
-  if (params_.noise_sigma > 0.0) rate *= rng.lognormal_median(1.0, params_.noise_sigma);
-  rate = std::max(rate, 0.1);
-
-  r.ok = true;
-  r.kbytes = page_kb;
-  r.seconds = params_.fixed_overhead_s + params_.setup_rtts * rtt_s + page_kb / rate;
-  return r;
-}
-
 PreparedDownload DownloadSimulator::prepare(const PathCharacteristics& path,
                                             double page_kb,
                                             double server_rate_kBps) const {

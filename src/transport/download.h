@@ -37,12 +37,12 @@ struct DownloadResult {
   }
 };
 
-/// Everything in `simulate` that does not depend on the per-sample draws,
+/// Everything in a download that does not depend on the per-sample draws,
 /// precomputed once per (site, family, round): `base_rate` folds the
 /// min(server rate, path bottleneck, window/RTT) and path-quality terms,
 /// `fixed_s` folds the fixed overhead + setup RTTs. An invalid path (or
 /// non-positive page/rate) yields `valid == false`, and every attempt
-/// against it fails without consuming draws — matching `simulate`.
+/// against it fails without consuming draws.
 struct PreparedDownload {
   bool valid = false;
   double base_rate = 0.0;
@@ -50,9 +50,9 @@ struct PreparedDownload {
   double page_kb = 0.0;
 };
 
-/// Locally accumulated attempt/failure totals. The per-sample metric adds
-/// in `simulate` were ~2 registry calls per download; batched callers
-/// accumulate here and flush once per measurement phase.
+/// Locally accumulated attempt/failure totals: callers accumulate here
+/// and flush once per measurement phase instead of ~2 registry calls per
+/// download.
 struct DownloadTally {
   std::uint64_t attempts = 0;
   std::uint64_t failures = 0;
@@ -70,26 +70,22 @@ class DownloadSimulator {
  public:
   explicit DownloadSimulator(DownloadParams params = {}) : params_(params) {}
 
-  [[nodiscard]] DownloadResult simulate(const PathCharacteristics& path,
-                                        double page_kb, double server_rate_kBps,
-                                        util::Rng& rng) const;
-
   /// Hoist the draw-independent work out of the sampling loop.
   [[nodiscard]] PreparedDownload prepare(const PathCharacteristics& path,
                                          double page_kb,
                                          double server_rate_kBps) const;
 
-  /// One attempt against a prepared download. Draw-for-draw and bit-for-bit
-  /// identical to `simulate` on the same inputs, but registry-free: totals
-  /// accumulate in `tally` (flush once with `flush_tally`).
+  /// One attempt against a prepared download: a failure_prob Bernoulli
+  /// draw, then (on success) one lognormal noise draw. Registry-free:
+  /// totals accumulate in `tally` (flush once with `flush_tally`).
   [[nodiscard]] DownloadResult simulate_prepared(const PreparedDownload& prep,
                                                  util::Rng& rng,
                                                  DownloadTally& tally) const;
 
   /// `n` attempts written to `out[0..n)`; returns the number of successes.
-  /// The draw stream is exactly `n` back-to-back `simulate` calls: the
-  /// general case keeps the per-attempt Bernoulli/lognormal interleaving,
-  /// while the failure_prob == 0 (pure lognormal block) and
+  /// The draw stream is exactly `n` back-to-back `simulate_prepared`
+  /// calls: the general case keeps the per-attempt Bernoulli/lognormal
+  /// interleaving, while the failure_prob == 0 (pure lognormal block) and
   /// noise_sigma == 0 (pure Bernoulli block) cases use the Rng block fills.
   /// Requires out.size() >= n.
   std::size_t simulate_batch(const PreparedDownload& prep, std::size_t n,

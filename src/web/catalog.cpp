@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <numeric>
 
 #include "ip/allocator.h"
+#include "util/contracts.h"
 #include "util/error.h"
 
 namespace v6mon::web {
@@ -321,7 +323,24 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
     maybe_relocate(cat.sites_.back());
   }
 
+  cat.index_schedule();
   return cat;
+}
+
+void SiteCatalog::index_schedule() {
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    const Site& s = sites_[i];
+    // Every id-keyed lookup — site(), the work lists, the monitors'
+    // resolved-site tables — reads the row at position id.
+    V6MON_REQUIRE(s.id == i, "site id != catalog position");
+    auto& counts = s.from_dns_cache ? listed_supplement_ : listed_ranked_;
+    if (s.first_seen_round >= counts.size()) counts.resize(s.first_seen_round + 1, 0);
+    ++counts[s.first_seen_round];
+    if (s.v6_from_round != kNever) v6_ids_.push_back(s.id);
+  }
+  for (auto* counts : {&listed_ranked_, &listed_supplement_}) {
+    std::partial_sum(counts->begin(), counts->end(), counts->begin());
+  }
 }
 
 Hosting SiteCatalog::hosting_at(const Site& s, std::uint32_t round) const {
@@ -358,21 +377,31 @@ const Site* SiteCatalog::by_hostname(std::string_view name) const {
 }
 
 double SiteCatalog::reachability_at(std::uint32_t round) const {
-  std::size_t listed = 0, v6 = 0;
-  for (const Site& s : sites_) {
-    if (s.from_dns_cache || !s.in_list_at(round)) continue;
-    ++listed;
-    if (s.dual_stack_at(round)) ++v6;
-  }
-  return listed == 0 ? 0.0 : static_cast<double>(v6) / static_cast<double>(listed);
+  const std::size_t listed = listed_at(round);
+  return listed == 0 ? 0.0
+                     : static_cast<double>(dual_stack_at(round, false).size()) /
+                           static_cast<double>(listed);
 }
 
-std::size_t SiteCatalog::listed_at(std::uint32_t round) const {
-  std::size_t listed = 0;
-  for (const Site& s : sites_) {
-    if (!s.from_dns_cache && s.in_list_at(round)) ++listed;
+std::size_t SiteCatalog::listed_at(std::uint32_t round, bool with_supplement) const {
+  // Rounds past the last first_seen_round read the totals.
+  const auto at = [round](const std::vector<std::size_t>& prefix) -> std::size_t {
+    return prefix.empty() ? 0 : prefix[std::min<std::size_t>(round, prefix.size() - 1)];
+  };
+  return at(listed_ranked_) + (with_supplement ? at(listed_supplement_) : 0);
+}
+
+std::vector<std::uint32_t> SiteCatalog::dual_stack_at(std::uint32_t round,
+                                                      bool with_supplement) const {
+  std::vector<std::uint32_t> ids;
+  for (const std::uint32_t id : v6_ids_) {
+    const Site& s = sites_[id];
+    if ((with_supplement || !s.from_dns_cache) && s.in_list_at(round) &&
+        s.dual_stack_at(round)) {
+      ids.push_back(id);
+    }
   }
-  return listed;
+  return ids;
 }
 
 void SiteCatalog::grant_aaaa(std::uint32_t site_id, std::uint32_t from_round,
@@ -390,6 +419,7 @@ void SiteCatalog::grant_aaaa(std::uint32_t site_id, std::uint32_t from_round,
   s.v6_as = v6_as;
   s.v6_addr = v6_addr;
   s.v6_server_factor = v6_server_factor;
+  v6_ids_.insert(std::lower_bound(v6_ids_.begin(), v6_ids_.end(), site_id), site_id);
 }
 
 }  // namespace v6mon::web

@@ -147,21 +147,40 @@ class SiteCatalog {
   /// (ranked list only — the Fig. 1 series).
   [[nodiscard]] double reachability_at(std::uint32_t round) const;
 
-  /// Count of listed ranked sites at a round (the Fig. 1 denominator).
-  [[nodiscard]] std::size_t listed_at(std::uint32_t round) const;
+  /// Count of listed ranked sites at a round (the Fig. 1 denominator),
+  /// plus the DNS-cache supplement when `with_supplement`. O(1).
+  [[nodiscard]] std::size_t listed_at(std::uint32_t round,
+                                      bool with_supplement = false) const;
+
+  /// Ascending ids of every site that has, or had, an AAAA window.
+  [[nodiscard]] const std::vector<std::uint32_t>& v6_site_ids() const { return v6_ids_; }
+
+  /// Ascending ids of the sites listed (as in listed_at) and dual-stack at
+  /// `round`: Site::in_list_at / dual_stack_at over v6_site_ids() only.
+  [[nodiscard]] std::vector<std::uint32_t> dual_stack_at(std::uint32_t round,
+                                                         bool with_supplement) const;
 
   /// Epoch engine (kSiteGainsAaaa): an IPv4-only site stands up an AAAA
   /// record from `from_round` on, hosted in `v6_as` at `v6_addr`.
   /// Rejects sites that already have (or ever had) an IPv6 window — the
   /// evolution generator only selects IPv4-only sites, and double grants
   /// would silently rewrite history the DNS layer already served.
+  /// The granted id joins v6_site_ids() in order.
   void grant_aaaa(std::uint32_t site_id, std::uint32_t from_round, topo::Asn v6_as,
                   const ip::Ipv6Address& v6_addr, float v6_server_factor);
 
  private:
+  void index_schedule();  ///< Build the round schedule index (generate).
+
   std::vector<Site> sites_;
   std::unordered_map<std::uint32_t, Hosting> relocations_;
   CatalogParams params_;
+  // Round schedule index: v6 site ids, and per-round counts of sites with
+  // first_seen_round <= r. Only generate() and grant_aaaa() change lists
+  // or AAAA windows; relocations move hosting, not schedules.
+  std::vector<std::uint32_t> v6_ids_;
+  std::vector<std::size_t> listed_ranked_;
+  std::vector<std::size_t> listed_supplement_;
 };
 
 /// Parse the numeric id out of "www.s<id>.v6mon.test"; nullopt otherwise.

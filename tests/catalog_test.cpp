@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
+#include "analysis/tables.h"
 #include "dns/resolver.h"
+#include "scenario/paper.h"
 #include "topo/address_plan.h"
 #include "topo/generator.h"
+#include "util/error.h"
 #include "web/dns_backend.h"
 
 namespace v6mon::web {
@@ -274,6 +279,114 @@ TEST(CatalogDnsBackend, AnswersTrackAdoptionRound) {
   EXPECT_EQ(a.records[0].a(), mid->v4_addr);
   const auto nx = resolver.resolve("www.unknown.test", dns::RecordType::kA, 0);
   EXPECT_EQ(nx.rcode, dns::Rcode::kNxDomain);
+}
+
+// --- Round schedule index ----------------------------------------------------
+
+// Row-walk oracles for the schedule index: the same questions answered by
+// visiting every Site row, as the catalog did before it kept an index.
+
+std::size_t walk_listed(const SiteCatalog& cat, std::uint32_t round, bool with_supplement) {
+  std::size_t listed = 0;
+  for (const Site& s : cat.sites()) {
+    if ((with_supplement || !s.from_dns_cache) && s.in_list_at(round)) ++listed;
+  }
+  return listed;
+}
+
+std::vector<std::uint32_t> walk_dual_stack(const SiteCatalog& cat, std::uint32_t round,
+                                           bool with_supplement) {
+  std::vector<std::uint32_t> ids;
+  for (const Site& s : cat.sites()) {
+    if ((with_supplement || !s.from_dns_cache) && s.in_list_at(round) &&
+        s.dual_stack_at(round)) {
+      ids.push_back(s.id);
+    }
+  }
+  return ids;
+}
+
+double walk_reachability(const SiteCatalog& cat, std::uint32_t round) {
+  std::size_t listed = 0, v6 = 0;
+  for (const Site& s : cat.sites()) {
+    if (s.from_dns_cache || !s.in_list_at(round)) continue;
+    ++listed;
+    if (s.dual_stack_at(round)) ++v6;
+  }
+  return listed == 0 ? 0.0 : static_cast<double>(v6) / static_cast<double>(listed);
+}
+
+/// Every index answer equals the row walk's, for rounds 0..last_round and
+/// both supplement settings. Doubles compare exactly: equal integer counts
+/// divide to equal bits.
+void expect_index_matches_rows(const SiteCatalog& cat, std::uint32_t last_round) {
+  std::vector<std::uint32_t> v6_ids;
+  for (const Site& s : cat.sites()) {
+    if (s.v6_from_round != kNever) v6_ids.push_back(s.id);
+  }
+  EXPECT_EQ(cat.v6_site_ids(), v6_ids);
+  const std::vector<analysis::Fig1Point> fig1 = analysis::fig1_series(cat, last_round);
+  ASSERT_EQ(fig1.size(), std::size_t{last_round} + 1);
+  for (std::uint32_t r = 0; r <= last_round; ++r) {
+    SCOPED_TRACE("round " + std::to_string(r));
+    for (const bool with_supplement : {false, true}) {
+      SCOPED_TRACE(with_supplement ? "with supplement" : "ranked only");
+      EXPECT_EQ(cat.listed_at(r, with_supplement), walk_listed(cat, r, with_supplement));
+      EXPECT_EQ(cat.dual_stack_at(r, with_supplement),
+                walk_dual_stack(cat, r, with_supplement));
+    }
+    const double reachability = walk_reachability(cat, r);
+    EXPECT_EQ(cat.reachability_at(r), reachability);
+    EXPECT_EQ(fig1[r].round, r);
+    EXPECT_EQ(fig1[r].listed, walk_listed(cat, r, false));
+    EXPECT_EQ(fig1[r].reachability, reachability);
+  }
+}
+
+TEST(SiteCatalog, ScheduleIndexMatchesRowWalkAcrossGrants) {
+  World w;
+  const scenario::WorldSpec spec = scenario::paper_spec(2011, 0.05);
+  CatalogParams p = spec.catalog;
+  p.w6d_round = spec.w6d_round;
+  ASSERT_GT(p.dns_cache_sites, 0u);
+  util::Rng rng(11);
+  SiteCatalog cat = SiteCatalog::generate(w.graph, p, rng);
+  const auto last = static_cast<std::uint32_t>(p.num_rounds);
+  {
+    SCOPED_TRACE("as generated");
+    expect_index_matches_rows(cat, last + 2);
+  }
+
+  // Grants out of id order, at both catalog ends and in between: the
+  // last (supplement) site, a mid-list site, the top-ranked site (opening
+  // past the series end), and the last churn entrant (granted before it
+  // is even listed).
+  auto v4_only_from = [&cat](std::size_t start) {
+    std::size_t i = start;
+    while (cat.site(i).v6_from_round != kNever) ++i;
+    return static_cast<std::uint32_t>(i);
+  };
+  const std::uint32_t last_id = static_cast<std::uint32_t>(cat.size() - 1);
+  const std::uint32_t mid_id = v4_only_from(cat.size() / 2);
+  const std::uint32_t churn_id =
+      v4_only_from(p.initial_sites + p.churn_per_round * (p.num_rounds - 1));
+  ASSERT_EQ(cat.site(last_id).v6_from_round, kNever);
+  ASSERT_EQ(cat.site(0).v6_from_round, kNever);
+  ASSERT_TRUE(cat.site(last_id).from_dns_cache);
+  ASSERT_EQ(cat.site(churn_id).first_seen_round, last);
+  const topo::Asn host = cat.site(cat.v6_site_ids().front()).v6_as;
+  const ip::Ipv6Address addr = cat.site(cat.v6_site_ids().front()).v6_addr;
+  const std::size_t v6_before = cat.v6_site_ids().size();
+  cat.grant_aaaa(last_id, 3, host, addr, 1.0f);
+  cat.grant_aaaa(mid_id, 0, host, addr, 1.0f);
+  cat.grant_aaaa(0, last + 1, host, addr, 1.0f);
+  cat.grant_aaaa(churn_id, 2, host, addr, 1.0f);
+  EXPECT_EQ(cat.v6_site_ids().size(), v6_before + 4);
+  EXPECT_THROW(cat.grant_aaaa(mid_id, 5, host, addr, 1.0f), ConfigError);
+  {
+    SCOPED_TRACE("after grants");
+    expect_index_matches_rows(cat, last + 2);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "transport/download.h"
 #include "util/stats.h"
 #include "transport/path.h"
@@ -80,6 +82,37 @@ TEST(CharacterizePath, TunnelLooksShortButCostsMore) {
   EXPECT_DOUBLE_EQ(pc.bottleneck_kBps, 400.0 * 0.85);
 }
 
+/// One attempt through the production path: prepare, then one
+/// simulate_prepared against a throwaway tally.
+DownloadResult download_once(const DownloadSimulator& sim, const PathCharacteristics& path,
+                             double page_kb, double server_rate_kBps, util::Rng& rng) {
+  DownloadTally tally;
+  return sim.simulate_prepared(sim.prepare(path, page_kb, server_rate_kBps), rng, tally);
+}
+
+/// Oracle for the batch kernel: the closed-form model written out in one
+/// function, with no hoisting — the per-call simulator the library
+/// shipped before prepare/simulate_prepared (minus its metric adds).
+DownloadResult reference_simulate(const DownloadParams& params,
+                                  const PathCharacteristics& path, double page_kb,
+                                  double server_rate_kBps, util::Rng& rng) {
+  DownloadResult r;
+  if (!path.valid || page_kb <= 0.0 || server_rate_kBps <= 0.0) return r;
+  if (params.failure_prob > 0.0 && rng.chance(params.failure_prob)) return r;
+
+  const double rtt_s = std::max(path.rtt_ms, 1.0) / 1000.0;
+  const double window_rate = params.window_kB / rtt_s;
+  double rate = std::min({server_rate_kBps, path.bottleneck_kBps, window_rate});
+  rate *= path.quality;
+  if (params.noise_sigma > 0.0) rate *= rng.lognormal_median(1.0, params.noise_sigma);
+  rate = std::max(rate, 0.1);
+
+  r.ok = true;
+  r.kbytes = page_kb;
+  r.seconds = params.fixed_overhead_s + params.setup_rtts * rtt_s + page_kb / rate;
+  return r;
+}
+
 TEST(DownloadSimulator, BasicDownload) {
   DownloadSimulator sim({.setup_rtts = 2.0,
                          .window_kB = 64.0,
@@ -91,7 +124,7 @@ TEST(DownloadSimulator, BasicDownload) {
   pc.rtt_ms = 100.0;
   pc.bottleneck_kBps = 1000.0;
   util::Rng rng(1);
-  const auto r = sim.simulate(pc, 50.0, 200.0, rng);
+  const auto r = download_once(sim, pc, 50.0, 200.0, rng);
   ASSERT_TRUE(r.ok);
   // rate = min(200, 1000, 64/0.1=640) = 200; time = 2*0.1 + 50/200 = 0.45.
   EXPECT_NEAR(r.seconds, 0.45, 1e-9);
@@ -109,7 +142,7 @@ TEST(DownloadSimulator, WindowLimitedOnLongRtt) {
   pc.rtt_ms = 400.0;  // window/rtt = 160 kB/s
   pc.bottleneck_kBps = 1e6;
   util::Rng rng(1);
-  const auto r = sim.simulate(pc, 160.0, 1e6, rng);
+  const auto r = download_once(sim, pc, 160.0, 1e6, rng);
   EXPECT_NEAR(r.seconds, 1.0, 1e-9);
 }
 
@@ -126,7 +159,7 @@ TEST(DownloadSimulator, SpeedDecreasesWithRtt) {
     pc.valid = true;
     pc.rtt_ms = rtt;
     pc.bottleneck_kBps = 1e6;
-    const double speed = sim.simulate(pc, 30.0, 90.0, rng).speed_kBps();
+    const double speed = download_once(sim, pc, 30.0, 90.0, rng).speed_kBps();
     EXPECT_LT(speed, prev);
     prev = speed;
   }
@@ -136,7 +169,7 @@ TEST(DownloadSimulator, InvalidPathFails) {
   DownloadSimulator sim;
   PathCharacteristics pc;  // valid = false
   util::Rng rng(1);
-  const auto r = sim.simulate(pc, 30.0, 90.0, rng);
+  const auto r = download_once(sim, pc, 30.0, 90.0, rng);
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.speed_kBps(), 0.0);
 }
@@ -150,7 +183,7 @@ TEST(DownloadSimulator, FailureInjection) {
   pc.rtt_ms = 50.0;
   pc.bottleneck_kBps = 100.0;
   util::Rng rng(1);
-  EXPECT_FALSE(sim.simulate(pc, 30.0, 90.0, rng).ok);
+  EXPECT_FALSE(download_once(sim, pc, 30.0, 90.0, rng).ok);
 }
 
 TEST(DownloadSimulator, NoiseAveragesOut) {
@@ -165,12 +198,12 @@ TEST(DownloadSimulator, NoiseAveragesOut) {
   util::Rng rng(3);
   util::RunningStats speeds;
   for (int i = 0; i < 4000; ++i) {
-    speeds.add(sim.simulate(pc, 30.0, 90.0, rng).speed_kBps());
+    speeds.add(download_once(sim, pc, 30.0, 90.0, rng).speed_kBps());
   }
   DownloadParams q = p;
   q.noise_sigma = 0.0;
   DownloadSimulator noiseless(q);
-  const double base = noiseless.simulate(pc, 30.0, 90.0, rng).speed_kBps();
+  const double base = download_once(noiseless, pc, 30.0, 90.0, rng).speed_kBps();
   EXPECT_NEAR(speeds.mean(), base, base * 0.05);
 }
 
@@ -181,9 +214,9 @@ TEST(DownloadSimulator, DegenerateInputs) {
   pc.rtt_ms = 50.0;
   pc.bottleneck_kBps = 100.0;
   util::Rng rng(1);
-  EXPECT_FALSE(sim.simulate(pc, 0.0, 90.0, rng).ok);
-  EXPECT_FALSE(sim.simulate(pc, -5.0, 90.0, rng).ok);
-  EXPECT_FALSE(sim.simulate(pc, 30.0, 0.0, rng).ok);
+  EXPECT_FALSE(download_once(sim, pc, 0.0, 90.0, rng).ok);
+  EXPECT_FALSE(download_once(sim, pc, -5.0, 90.0, rng).ok);
+  EXPECT_FALSE(download_once(sim, pc, 30.0, 0.0, rng).ok);
 }
 
 // Property: tunnel paths at apparent hop count 1 must be slower than
@@ -203,8 +236,8 @@ TEST(DownloadSimulator, TunnelArtifactProperty) {
   tunneled.via_tunnel = true;
   tunneled.rtt_ms = 2.0 * (130.0 + 15.0);  // hidden 4-hop underlay + encap
   tunneled.bottleneck_kBps = 500.0 * 0.85;
-  const double native_speed = sim.simulate(native, 30.0, 90.0, rng).speed_kBps();
-  const double tunnel_speed = sim.simulate(tunneled, 30.0, 90.0, rng).speed_kBps();
+  const double native_speed = download_once(sim, native, 30.0, 90.0, rng).speed_kBps();
+  const double tunnel_speed = download_once(sim, tunneled, 30.0, 90.0, rng).speed_kBps();
   EXPECT_GT(native_speed, tunnel_speed * 1.3);
 }
 
@@ -219,9 +252,9 @@ PathCharacteristics batch_test_path() {
 }
 
 /// simulate_batch must be draw-for-draw and bit-for-bit identical to n
-/// back-to-back simulate() calls on a same-seeded Rng — that equality is
-/// what lets the monitor batch the download loop without perturbing the
-/// campaign byte-identity contract. Checked across all four kernel
+/// back-to-back reference_simulate() calls on a same-seeded Rng — that
+/// equality is what lets the monitor batch the download loop without
+/// perturbing the campaign byte-identity contract. Checked across all four kernel
 /// branches (interleaved, pure-lognormal block, pure-Bernoulli block,
 /// fully deterministic), with n crossing the internal chunk size.
 TEST(DownloadSimulator, BatchMatchesPerCallSimulate) {
@@ -253,7 +286,8 @@ TEST(DownloadSimulator, BatchMatchesPerCallSimulate) {
 
     std::size_t scalar_ok = 0;
     for (std::size_t i = 0; i < kAttempts; ++i) {
-      const DownloadResult ref = sim.simulate(path, page_kb, server_rate, scalar_rng);
+      const DownloadResult ref =
+          reference_simulate(params, path, page_kb, server_rate, scalar_rng);
       ASSERT_EQ(out[i].ok, ref.ok) << c.name << " attempt " << i;
       ASSERT_EQ(out[i].seconds, ref.seconds) << c.name << " attempt " << i;
       ASSERT_EQ(out[i].kbytes, ref.kbytes) << c.name << " attempt " << i;

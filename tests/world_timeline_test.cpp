@@ -15,12 +15,17 @@
 //      catalog windows open at the epoch round.
 //   5. After every epoch, each changed destination's VP RIB entries are
 //      exactly what its re-converged table implies, in both advance modes.
+//   6. A site granted an AAAA record is monitored from its grant round on
+//      (the catalog's schedule index follows the grant).
 
 #include "core/world_timeline.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -278,6 +283,69 @@ TEST(WorldTimeline, RibsFollowTablesAfterEveryEpochIncremental) {
 
 TEST(WorldTimeline, RibsFollowTablesAfterEveryEpochFullRebuild) {
   expect_ribs_follow_tables(EpochAdvanceMode::kFullRebuild);
+}
+
+// --- 6. AAAA grants reach the round work list ------------------------------
+
+/// A site granted an AAAA record at an epoch is monitored — queued on the
+/// round's work list, not settled as v4-only by the fast path — at every
+/// round from its grant on, by every vantage point that lists it. The
+/// work list comes from the catalog's schedule index, which grant_aaaa
+/// must keep current.
+TEST(WorldTimeline, GrantedSitesAreMonitoredFromTheirGrantRound) {
+  WorldTimeline timeline = scenario::build_timeline(evolving_spec());
+  const std::vector<std::uint32_t> seeded = timeline.world().catalog.v6_site_ids();
+  CampaignConfig cfg;
+  cfg.seed = 2011;
+  cfg.threads = 2;
+  Campaign campaign(timeline, cfg);
+  run_rounds_serially(campaign);
+  campaign.finalize();
+
+  const World& w = timeline.world();
+  const web::SiteCatalog& cat = w.catalog;
+  std::vector<std::uint32_t> granted;
+  std::set_difference(cat.v6_site_ids().begin(), cat.v6_site_ids().end(),
+                      seeded.begin(), seeded.end(), std::back_inserter(granted));
+  ASSERT_FALSE(granted.empty()) << "evolving_spec granted no AAAA; nothing tested";
+
+  for (std::size_t vp = 0; vp < w.vantage_points.size(); ++vp) {
+    const VantagePoint& v = w.vantage_points[vp];
+    SCOPED_TRACE(v.name);
+    const ResultsDb& db = campaign.results(vp);
+    for (const std::uint32_t id : granted) {
+      const web::Site& s = cat.site(id);
+      ASSERT_LE(s.v6_from_round, w.num_rounds);
+      std::vector<std::uint32_t> expected;
+      if (!s.from_dns_cache || v.uses_dns_cache_supplement) {
+        for (std::uint32_t r = std::max({s.v6_from_round, s.first_seen_round,
+                                         v.start_round});
+             r <= w.num_rounds; ++r) {
+          expected.push_back(r);
+        }
+      }
+      // Without DNS failure injection every monitored dual-stack site
+      // ends in a recorded status, so its rows name the rounds it was
+      // queued in; a fast-pathed round leaves no row.
+      const std::span<const std::uint32_t> rounds = db.series(id).rounds();
+      EXPECT_EQ(std::vector<std::uint32_t>(rounds.begin(), rounds.end()), expected)
+          << "site " << id << " granted at round " << s.v6_from_round;
+    }
+    // The fast path settles exactly the listed sites that are not
+    // dual-stack at the round (the final rows carry every grant window).
+    for (std::uint32_t r = v.start_round; r <= w.num_rounds; ++r) {
+      std::uint64_t listed = 0, dual = 0;
+      for (const web::Site& s : cat.sites()) {
+        if ((s.from_dns_cache && !v.uses_dns_cache_supplement) || !s.in_list_at(r)) {
+          continue;
+        }
+        ++listed;
+        if (s.dual_stack_at(r)) ++dual;
+      }
+      EXPECT_EQ(db.round_counters(r).listed, listed) << "round " << r;
+      EXPECT_EQ(db.round_counters(r).v4_only, listed - dual) << "round " << r;
+    }
+  }
 }
 
 // --- Constructor contract ---------------------------------------------------
