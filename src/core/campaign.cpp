@@ -43,6 +43,13 @@ const CampaignMetricIds& campaign_metric_ids() {
   return ids;
 }
 
+/// Whether a monitoring outcome is stored as an observation row; every
+/// other status only bumps the round counters.
+[[nodiscard]] bool carries_row(MonitorStatus s) {
+  return s == MonitorStatus::kMeasured || s == MonitorStatus::kDifferentContent ||
+         s == MonitorStatus::kV4DownloadFailed || s == MonitorStatus::kV6DownloadFailed;
+}
+
 /// Dispatch key of a (vantage point, round) node in an *evolving*
 /// campaign: rounds are the major axis so the ready-queue prefers the
 /// pipeline frontier (low rounds finish first, unblocking their
@@ -111,9 +118,8 @@ void Campaign::advance_world(std::uint32_t round) {
 }
 
 void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
-                         const std::vector<std::uint32_t>& sites,
-                         ShardedSink& sink, std::uint64_t salt,
-                         bool inline_sites) {
+                         const std::vector<std::uint32_t>& sites, ResultsDb& db,
+                         std::uint64_t salt, bool inline_sites) {
   V6MON_REQUIRE(vp_index < monitors_.size(), "vantage point index out of range");
   if (sites.empty()) return;
   Monitor& monitor = monitors_[vp_index];
@@ -121,17 +127,17 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   const util::Rng root(config_.seed);
 
   // Resolved-site table slot assignment is coordinator-only (we hold this
-  // VP's ingest-epoch mutex): column growth must not race the workers'
-  // lazy per-slot fills inside monitor_site below.
+  // VP's epoch mutex): column growth must not race the workers' lazy
+  // per-slot fills inside monitor_site below.
   {
     obs::TraceSpan span(obs::Stage::kSiteResolve);
     monitor.assign_resolve_slots(sites, round);
   }
 
+  // One result slot per site: worker i writes only out[i], and paths go
+  // straight into the store's (internally synchronized) registry.
+  std::vector<Observation> out(sites.size());
   const auto monitor_one = [&](std::size_t i) {
-    // The worker's private lane: recording and counting touch no shared
-    // state; path ids are canonicalized at the round-boundary flush.
-    ShardedSink::Lane& lane = sink.lane();
     const web::Site& site = world_.catalog.site(sites[i]);
     // Every RNG stream is keyed per (site, round, salt) — never by chunk
     // bounds or worker identity — so scheduling granularity is a pure
@@ -141,12 +147,11 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
     const std::uint64_t key =
         ((static_cast<std::uint64_t>(vp_index) * 4096 + round) << 32) |
         (site.id ^ salt);
-    const Observation obs = monitor.monitor_site(
-        site, round, resolver, root.child("monitor", key), lane.paths());
-    lane.count(round, obs.status);
-    // Per-VP DNS accounting (ISSUE 9 satellite): resolvers are per-site
-    // temporaries, so their Stats would otherwise vanish here. Relaxed
-    // adds of per-site totals — deterministic whatever the schedule.
+    out[i] = monitor.monitor_site(site, round, resolver, root.child("monitor", key),
+                                  db.paths());
+    // Per-VP DNS accounting: resolvers are per-site temporaries, so their
+    // Stats would otherwise vanish here. Relaxed adds of per-site totals
+    // — deterministic whatever the schedule.
     {
       const dns::Resolver::Stats& ds = resolver.stats();
       DnsTally& tally = dns_tallies_[vp_index];
@@ -157,14 +162,8 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
     auto& metrics = obs::metrics();
     const auto& ids = campaign_metric_ids();
     metrics.add(ids.sites_monitored);
-    metrics.add(ids.status_id(obs.status));
-    if (obs.status == MonitorStatus::kMeasured ||
-        obs.status == MonitorStatus::kDifferentContent ||
-        obs.status == MonitorStatus::kV4DownloadFailed ||
-        obs.status == MonitorStatus::kV6DownloadFailed) {
-      lane.record(obs);
-      metrics.add(ids.ingest_rows);
-    }
+    metrics.add(ids.status_id(out[i].status));
+    if (carries_row(out[i].status)) metrics.add(ids.ingest_rows);
   };
   if (inline_sites) {
     // Executor-scheduled round with enough concurrent (vp, round) nodes
@@ -178,16 +177,19 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   } else {
     parallel_index(pool_, sites.size(), monitor_one);
   }
-  // Round boundary: merge every worker shard into the VP's database in
-  // one deterministic pass.
+  // Append the round's result slots in index order: the store sees the
+  // same add sequence whichever worker filled which slot.
   {
     obs::TraceSpan span(obs::Stage::kIngestFlush);
-    sink.flush();
+    for (const Observation& obs : out) {
+      db.count(round, obs.status);
+      if (carries_row(obs.status)) db.add(obs);
+    }
   }
   auto& metrics = obs::metrics();
   metrics.add(campaign_metric_ids().ingest_flushes);
-  // The flush is also the metrics merge boundary: worker-thread shards
-  // fold into the registry totals while no lane traffic is in flight.
+  // The append is also the metrics merge boundary: worker-thread shards
+  // fold into the registry totals while no site work is in flight.
   metrics.merge_shards();
 }
 
@@ -211,12 +213,10 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round,
   const VantagePoint& vp = world_.vantage_points[vp_index];
   if (round < vp.start_round) return;
   VpStore& store = stores_[vp_index];
-  // One ingest epoch at a time per store: concurrent run_round calls on
-  // the same vantage point serialize here, upholding the sink's
-  // flush-without-lane-traffic contract.
+  // One round at a time per store: concurrent run_round calls on the same
+  // vantage point serialize here, so the store has a single writer.
   util::LockGuard epoch(store.epoch_mu);
-  ShardedSink& sink = store.sink;
-  ShardedSink::Lane& lane = sink.lane();  // coordinator's own lane
+  ResultsDb& db = store.db;
 
   // Collect this round's work list. The fast path settles v4-only sites
   // inline: with no DNS failure injection their pipeline outcome is
@@ -242,17 +242,17 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round,
                "work list cannot exceed the listed population");
   const std::uint64_t fast_pathed = listed - work.size();
   if (fast_pathed != 0) {
-    // Fast-pathed sites still count toward the lane and status totals,
+    // Fast-pathed sites still count toward the round and status totals,
     // exactly as the full pipeline would have. Batched: the fast path
     // covers the vast majority of the catalog, and per-site bookkeeping
     // would cost more than the fast path itself — counters are additive,
     // so one add of `fast_pathed` is byte-identical to that many adds.
-    lane.count(round, MonitorStatus::kV4Only, fast_pathed);
+    db.count(round, MonitorStatus::kV4Only, fast_pathed);
     obs::metrics().add(campaign_metric_ids().fast_path_sites, fast_pathed);
     obs::metrics().add(campaign_metric_ids().status_id(MonitorStatus::kV4Only),
                        fast_pathed);
   }
-  sink.count_listed(round, listed);
+  db.count_listed(round, listed);
 
   // Randomize monitoring order (the paper randomizes per round to avoid
   // time-of-day bias). Chained derivation — one child per key component
@@ -268,7 +268,7 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round,
       util::Rng(config_.seed).child("order", vp_index).child("round", round);
   order.shuffle(work);
 
-  run_sites(vp_index, round, work, sink, /*salt=*/0, inline_sites);
+  run_sites(vp_index, round, work, db, /*salt=*/0, inline_sites);
 }
 
 bool Campaign::graph_covers_pool() const {
@@ -313,7 +313,7 @@ void Campaign::run() {
                       [this, round] { advance_world(round); });
       // Gates chain (epochs apply in order) and wait for every VP's
       // previous round — the world may only move while no measurement
-      // is in flight, the same quiescence the sink's flush relies on.
+      // is in flight.
       if (prev_gate != Executor::kNoNode) exec.add_edge(prev_gate, gate);
       for (std::size_t vp = 0; vp < num_vps; ++vp) {
         if (prev[vp] != Executor::kNoNode) exec.add_edge(prev[vp], gate);
@@ -362,10 +362,10 @@ void Campaign::run_w6d() {
       util::LockGuard regular_epoch(stores_[vp].epoch_mu);
       for (std::size_t mini = 0; mini < config_.w6d_mini_rounds; ++mini) {
         // All mini-rounds happen at the W6D calendar round (same DNS
-        // state) but with independent randomness. Each run_sites call is
-        // one ingest epoch, flushed at its end, so a site's mini-round
-        // observations land in mini order.
-        run_sites(vp, world_.w6d_round, participants, store.sink,
+        // state) but with independent randomness. Each run_sites call
+        // appends its slots before the next starts, so a site's
+        // mini-round observations land in mini order.
+        run_sites(vp, world_.w6d_round, participants, store.db,
                   /*salt=*/0x60d00000ULL + mini, inline_sites);
       }
     });
@@ -381,7 +381,6 @@ void Campaign::finalize() {
   for (std::deque<VpStore>* group : {&stores_, &w6d_stores_}) {
     for (VpStore& store : *group) {
       util::LockGuard epoch(store.epoch_mu);
-      store.sink.flush();
       store.db.finalize();
     }
   }

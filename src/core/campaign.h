@@ -6,7 +6,6 @@
 
 #include "core/monitor.h"
 #include "core/results.h"
-#include "core/sink.h"
 #include "core/thread_pool.h"
 #include "core/world.h"
 
@@ -103,28 +102,25 @@ class Campaign {
   void finalize();
 
  private:
-  /// One vantage point's results store: the database, the ingest sink in
-  /// front of it, and the epoch lock serializing rounds on this store.
+  /// One vantage point's results store and the lock that makes it a
+  /// single-writer store: `epoch_mu` is held for the whole of a round, a
+  /// W6D event or a finalize on this store, and so serializes every
+  /// writer of `db` (ResultsDb itself does not lock).
   struct VpStore {
     ResultsDb db;
-    ShardedSink sink{db};
-    /// Ingest-epoch capability: held for the whole of a round (or a
-    /// finalize) on this store, serializing epochs so the sink's
-    /// flush-without-lane-traffic contract holds. It guards a *protocol*
-    /// (exclusive use of `sink`), not a field — `db`/`sink` themselves
-    /// are internally synchronized.
     util::Mutex epoch_mu;
   };
 
   /// run_round for executor nodes: `inline_sites` is graph_covers_pool()
   /// of the graph the node belongs to (see run_sites).
   void run_round(std::size_t vp_index, std::uint32_t round, bool inline_sites);
-  /// Monitor `sites` as one ingest epoch, then flush. With `inline_sites`
-  /// the site loop runs on the calling thread instead of fanning out
-  /// through the pool — a pure scheduling choice, invisible in every
-  /// observable.
+  /// Monitor `sites` into one result slot each, then append the slots
+  /// to `db` in index order (the caller holds the store's epoch mutex).
+  /// With `inline_sites` the site loop runs on the calling thread instead
+  /// of fanning out through the pool — a pure scheduling choice,
+  /// invisible in every observable.
   void run_sites(std::size_t vp_index, std::uint32_t round,
-                 const std::vector<std::uint32_t>& sites, ShardedSink& sink,
+                 const std::vector<std::uint32_t>& sites, ResultsDb& db,
                  std::uint64_t salt, bool inline_sites);
 
   /// Whether executor-scheduled nodes should run their site loop inline

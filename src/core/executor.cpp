@@ -11,8 +11,8 @@ namespace {
 
 /// Scheduler-layer metric handles (registered once, lazily). The graph-
 /// shape counters (nodes/edges/roots/blocked) are pure functions of the
-/// campaign configuration — byte-comparable across thread counts and
-/// sinks like every other counter. The stolen-node count and the wait
+/// campaign configuration — byte-comparable across thread counts like
+/// every other counter. The stolen-node count and the wait
 /// histogram are schedule facts: a gauge and a wall-time histogram,
 /// excluded from the determinism contract (obs/metrics.h).
 struct ExecutorMetricIds {

@@ -76,7 +76,7 @@ const MonitorMetricIds& monitor_metric_ids() {
 }
 
 /// Conn-layer counters (pre-registered in kCounterNames) + the handshake
-/// latency histogram. All deterministic across threads x sinks: every
+/// latency histogram. All deterministic across thread counts: every
 /// add is a pure function of a (site, round) evaluation, and the
 /// histogram observes *simulated* seconds, not wall time.
 struct ConnMetricIds {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <numeric>
 #include <sstream>
 #include <string_view>
 
@@ -68,29 +67,6 @@ std::string PathRegistry::to_string(PathId id) const {
   return out;
 }
 
-// --- Counters ---------------------------------------------------------------
-
-void apply_status(RoundCounters& c, MonitorStatus status, std::uint64_t n) {
-  switch (status) {
-    case MonitorStatus::kDnsFailed: c.dns_failed += n; break;
-    case MonitorStatus::kV4Only: c.v4_only += n; break;
-    case MonitorStatus::kV6Only: c.v6_only += n; break;
-    case MonitorStatus::kV4DownloadFailed:
-    case MonitorStatus::kV6DownloadFailed:
-      c.dual += n;
-      c.download_failed += n;
-      break;
-    case MonitorStatus::kDifferentContent:
-      c.dual += n;
-      c.different_content += n;
-      break;
-    case MonitorStatus::kMeasured:
-      c.dual += n;
-      c.measured += n;
-      break;
-  }
-}
-
 // --- ObservationColumns ------------------------------------------------------
 
 void ObservationColumns::reserve(std::size_t n) {
@@ -140,22 +116,8 @@ Observation ObservationColumns::row(std::size_t i) const {
 // --- ResultsDb ---------------------------------------------------------------
 
 void ResultsDb::add(const Observation& obs) {
-  util::LockGuard lock(mu_);
-  staging_.push_back(obs);
-}
-
-void ResultsDb::seal_staging() {
-  if (staging_.empty()) return;
-  staged_batches_.push_back(std::move(staging_));
-  staging_ = {};
-}
-
-void ResultsDb::merge_rows(std::vector<Observation>&& batch) {
-  if (batch.empty()) return;
-  util::LockGuard lock(mu_);
-  // Seal any loose add() rows first so the batch lands after them.
-  seal_staging();
-  staged_batches_.push_back(std::move(batch));
+  V6MON_REQUIRE(!finalized_, "add() after finalize()");
+  rows_.push_back(obs);
 }
 
 RoundCounters& ResultsDb::round_slot(std::uint32_t round) {
@@ -164,21 +126,29 @@ RoundCounters& ResultsDb::round_slot(std::uint32_t round) {
 }
 
 void ResultsDb::count(std::uint32_t round, MonitorStatus status, std::uint64_t n) {
-  util::LockGuard lock(mu_);
-  apply_status(round_slot(round), status, n);
+  RoundCounters& c = round_slot(round);
+  switch (status) {
+    case MonitorStatus::kDnsFailed: c.dns_failed += n; break;
+    case MonitorStatus::kV4Only: c.v4_only += n; break;
+    case MonitorStatus::kV6Only: c.v6_only += n; break;
+    case MonitorStatus::kV4DownloadFailed:
+    case MonitorStatus::kV6DownloadFailed:
+      c.dual += n;
+      c.download_failed += n;
+      break;
+    case MonitorStatus::kDifferentContent:
+      c.dual += n;
+      c.different_content += n;
+      break;
+    case MonitorStatus::kMeasured:
+      c.dual += n;
+      c.measured += n;
+      break;
+  }
 }
 
 void ResultsDb::count_listed(std::uint32_t round, std::uint64_t n) {
-  util::LockGuard lock(mu_);
   round_slot(round).listed += n;
-}
-
-void ResultsDb::merge_counters(const std::vector<RoundCounters>& deltas) {
-  if (deltas.empty()) return;
-  util::LockGuard lock(mu_);
-  for (std::uint32_t r = 0; r < deltas.size(); ++r) {
-    round_slot(r) += deltas[r];
-  }
 }
 
 SiteSeries ResultsDb::series(std::uint32_t site) const {
@@ -191,69 +161,46 @@ SiteSeries ResultsDb::series(std::uint32_t site) const {
 
 const RoundCounters& ResultsDb::round_counters(std::uint32_t round) const {
   static const RoundCounters kEmpty{};
-  // Surfaced by the thread-safety annotations (ISSUE 6): this read of
-  // rounds_ used to rely on the read-after-ingest convention alone, but
-  // unlike the phase-published columns it shares a field with live
-  // ingest (count/merge_counters resize it) — so it takes the lock like
-  // every other rounds_ access. The returned reference is stable only
-  // once ingest has quiesced, as before.
-  util::LockGuard lock(mu_);
   if (round >= rounds_.size()) return kEmpty;
   return rounds_[round];
 }
 
 void ResultsDb::finalize() {
-  util::LockGuard lock(mu_);
-  if (finalized_ && staging_.empty() && staged_batches_.empty()) return;
-
-  // Materialize every row: the already-finalized columns (when data
-  // arrives after a finalize) followed by the staged batches and loose
-  // rows, preserving insertion order — the per-site order the round
-  // sequence produced.
-  seal_staging();
-  std::size_t staged = 0;
-  for (const auto& b : staged_batches_) staged += b.size();
-  std::vector<Observation> rows;
-  rows.reserve(cols_.size() + staged);
-  for (std::size_t i = 0; i < cols_.size(); ++i) rows.push_back(cols_.row(i));
-  for (const auto& b : staged_batches_) rows.insert(rows.end(), b.begin(), b.end());
-  staged_batches_.clear();
-  staged_batches_.shrink_to_fit();
-
-  // Group by site, keeping insertion order within each site's run.
-  std::vector<std::size_t> idx(rows.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  std::stable_sort(idx.begin(), idx.end(), [&rows](std::size_t a, std::size_t b) {
-    return rows[a].site < rows[b].site;
-  });
-
-  cols_ = ObservationColumns{};
-  cols_.reserve(rows.size());
-  site_ids_.clear();
-  site_index_.clear();
-  if (!rows.empty()) {
-    site_index_.resize(rows[idx.back()].site + std::size_t{1});
-  }
-
-  std::vector<Observation> per_site;
-  std::size_t i = 0;
-  while (i < idx.size()) {
-    const std::uint32_t site = rows[idx[i]].site;
-    per_site.clear();
-    for (; i < idx.size() && rows[idx[i]].site == site; ++i) {
-      per_site.push_back(rows[idx[i]]);
-    }
-    // Sort each site's series by round (same call the row store made, so
-    // equal-round W6D mini-rounds land in the identical order and CSVs
-    // reproduce byte for byte).
-    std::sort(per_site.begin(), per_site.end(),
-              [](const Observation& a, const Observation& b) { return a.round < b.round; });
-    site_index_[site] = {static_cast<std::uint32_t>(cols_.size()),
-                         static_cast<std::uint32_t>(per_site.size())};
-    site_ids_.push_back(site);
-    for (const Observation& o : per_site) cols_.push_back(o);
-  }
+  if (finalized_) return;
   finalized_ = true;
+  if (rows_.empty()) return;
+
+  // Group by site with a counting sort, which keeps add order within
+  // each site's run: count, prefix-sum into offsets, scatter.
+  std::uint32_t max_site = 0;
+  for (const Observation& o : rows_) max_site = std::max(max_site, o.site);
+  site_index_.resize(max_site + std::size_t{1});
+  for (const Observation& o : rows_) ++site_index_[o.site].count;
+  std::uint32_t offset = 0;
+  for (std::uint32_t site = 0; site <= max_site; ++site) {
+    SiteRef& ref = site_index_[site];
+    if (ref.count == 0) continue;
+    ref.offset = offset;
+    offset += ref.count;
+    site_ids_.push_back(site);
+  }
+  std::vector<Observation> grouped(rows_.size());
+  for (const Observation& o : rows_) grouped[site_index_[o.site].offset++] = o;
+  std::deque<Observation>().swap(rows_);  // free it before the columns grow
+
+  cols_.reserve(grouped.size());
+  for (const std::uint32_t site : site_ids_) {
+    SiteRef& ref = site_index_[site];
+    ref.offset -= ref.count;  // the scatter advanced it past the run
+    const auto run = grouped.begin() + ref.offset;
+    // Sort each site's series by round with the sort the golden digests
+    // were recorded under. A site's equal-round W6D mini-rounds (twelve by
+    // default) fall inside its 16-element insertion-sort cutoff, so they
+    // keep their add order.
+    std::sort(run, run + ref.count,
+              [](const Observation& a, const Observation& b) { return a.round < b.round; });
+    for (auto it = run; it != run + ref.count; ++it) cols_.push_back(*it);
+  }
 }
 
 namespace {
@@ -367,29 +314,10 @@ class ObservationCsvWriter {
 }  // namespace
 
 void ResultsDb::write_csv(std::ostream& out) const {
+  V6MON_REQUIRE(finalized_, "write_csv() requires a finalized ResultsDb");
+  // Columns are site-major and round-sorted: stream straight through.
   ObservationCsvWriter writer(out, paths_);
-  if (finalized_) {
-    // Columns are already site-major and round-sorted: stream straight
-    // through.
-    for (std::size_t i = 0; i < cols_.size(); ++i) writer.row(cols_, i);
-  } else {
-    // Unfinalized store (tests, partial dumps): order like the finalized
-    // dump's grouping — sites ascending, insertion order within a site.
-    std::vector<Observation> rows;
-    {
-      util::LockGuard lock(mu_);
-      for (const auto& b : staged_batches_) rows.insert(rows.end(), b.begin(), b.end());
-      rows.insert(rows.end(), staging_.begin(), staging_.end());
-    }
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const Observation& a, const Observation& b) {
-                       return a.site < b.site;
-                     });
-    ObservationColumns cols;
-    cols.reserve(rows.size());
-    for (const Observation& o : rows) cols.push_back(o);
-    for (std::size_t i = 0; i < cols.size(); ++i) writer.row(cols, i);
-  }
+  for (std::size_t i = 0; i < cols_.size(); ++i) writer.row(cols_, i);
   writer.finish();
 }
 

@@ -47,11 +47,10 @@ inline constexpr PathId kNoPath = 0xffffffffu;
 ///
 /// The intern index hashes and compares the ASN *span* directly — no
 /// serialized string key — so the common already-interned lookup does
-/// zero allocations. Thread-safe behind one mutex: in the sharded sink
-/// every worker owns a private registry (the mutex is uncontended) and
-/// ids are canonicalized into the results database's registry at merge
-/// time; ids are therefore stable within one registry but not an
-/// observable across runs (path *content* is).
+/// zero allocations. Thread-safe behind one mutex: the workers of a
+/// fanned-out round intern into their store's registry concurrently, so
+/// ids depend on the schedule and are not an observable across runs
+/// (path *content* is).
 class PathRegistry {
  public:
   /// Intern a path (thread-safe); returns a stable id.
@@ -117,26 +116,6 @@ struct RoundCounters {
   std::uint64_t different_content = 0;
   std::uint64_t download_failed = 0;
 };
-
-inline RoundCounters& operator+=(RoundCounters& a, const RoundCounters& b) {
-  a.listed += b.listed;
-  a.v4_only += b.v4_only;
-  a.v6_only += b.v6_only;
-  a.dual += b.dual;
-  a.dns_failed += b.dns_failed;
-  a.measured += b.measured;
-  a.different_content += b.different_content;
-  a.download_failed += b.download_failed;
-  return a;
-}
-
-/// Bucket `n` occurrences of one monitoring status into the round's
-/// counters — the single definition of the status→counter mapping,
-/// shared by ResultsDb::count and every sink lane. The bulk form exists
-/// for the campaign fast path, which settles hundreds of thousands of
-/// v4-only sites per round: counters are additive, so one add of `n` is
-/// byte-identical to `n` adds of one.
-void apply_status(RoundCounters& c, MonitorStatus status, std::uint64_t n = 1);
 
 /// Columnar (struct-of-arrays) observation storage. Analysis passes scan
 /// one or two fields of millions of rows — laid out per column those
@@ -210,28 +189,27 @@ class SiteSeries {
 /// All results collected by one vantage point over a campaign. Mirrors
 /// the paper's per-vantage-point MySQL database.
 ///
-/// Two-stage layout (row-ingest, columnar-read): `add`/`merge_rows`
-/// append to a row-order staging buffer; `finalize()` groups staged rows
-/// by site, sorts each site's run by round, and rebuilds the immutable
-/// struct-of-arrays store plus a dense site index. All per-site read
-/// accessors require a finalized database.
+/// Two phases (row ingest, columnar read): `add` appends to a row
+/// buffer; `finalize()` groups the rows by site, sorts each site's run by
+/// round, and builds the immutable struct-of-arrays store plus a dense
+/// site index. All per-site read accessors and the CSV dump require a
+/// finalized database; ingest after finalize() is rejected.
+///
+/// Single writer: nothing here locks. The owner serializes every call
+/// that mutates the store (Campaign holds the vantage point's epoch
+/// mutex); reads start once finalize() has returned. Only the path
+/// registry is internally synchronized, because the workers of one round
+/// intern paths concurrently.
 class ResultsDb {
  public:
-  /// Record a full observation (dual-stack sites). Thread-safe.
+  /// Record a full observation (dual-stack sites). Requires !finalized().
   void add(const Observation& obs);
 
-  /// Bump per-round counters (by `n` at once — one lock however many
-  /// sites are settled). Thread-safe.
+  /// Bump per-round counters by `n` at once (the campaign fast path
+  /// settles hundreds of thousands of v4-only sites per round; counters
+  /// are additive, so one add of `n` equals `n` adds of one).
   void count(std::uint32_t round, MonitorStatus status, std::uint64_t n = 1);
   void count_listed(std::uint32_t round, std::uint64_t n);
-
-  /// Move-ingest a whole batch from a sink flush: O(1) — the vector is
-  /// spliced into the staging list, no row is copied. The batch's path
-  /// ids must already refer to this database's registry. Relative order
-  /// of add() rows and merged batches is preserved.
-  void merge_rows(std::vector<Observation>&& batch);
-  /// Fold per-round counter deltas in (indexed by round).
-  void merge_counters(const std::vector<RoundCounters>& deltas);
 
   [[nodiscard]] PathRegistry& paths() { return paths_; }
   [[nodiscard]] const PathRegistry& paths() const { return paths_; }
@@ -247,14 +225,12 @@ class ResultsDb {
   [[nodiscard]] SiteSeries series(std::uint32_t site) const;
 
   [[nodiscard]] const RoundCounters& round_counters(std::uint32_t round) const;
-  [[nodiscard]] std::size_t rounds() const {
-    util::LockGuard lock(mu_);
-    return rounds_.size();
-  }
+  [[nodiscard]] std::size_t rounds() const { return rounds_.size(); }
 
-  /// Group staged rows by site, sort each site's series by round, and
-  /// (re)build the columnar store + dense site index. Idempotent; call
-  /// once after ingest, before analysis.
+  /// Group the added rows by site (a counting sort: add order is kept
+  /// within a site), sort each site's series by round, and build the
+  /// columnar store + dense site index. Call once after ingest, before
+  /// analysis; a second call is a no-op.
   void finalize();
   [[nodiscard]] bool finalized() const { return finalized_; }
 
@@ -262,36 +238,31 @@ class ResultsDb {
   /// of about 64 KiB — no materialized copy of the dump. The bytes do not
   /// depend on `out`'s formatting flags, precision or locale: numbers are
   /// written with std::to_chars, speeds as `%.6g` in the C locale. Throws
-  /// IoError as soon as a chunk write leaves `out` failed.
+  /// IoError as soon as a chunk write leaves `out` failed. Requires
+  /// finalize().
   void write_csv(std::ostream& out) const;
   /// Convenience wrapper over write_csv for small stores and tests.
   [[nodiscard]] std::string to_csv() const;
 
  private:
-  mutable util::Mutex mu_;
   PathRegistry paths_;  ///< Internally synchronized (its own mutex).
-  /// Row-order ingest staging; drained into `cols_` by finalize().
-  /// Whole-batch merges land in `staged_batches_` (spliced, not
-  /// copied); `seal_staging()` keeps the two in global ingest order.
-  std::vector<Observation> staging_ V6MON_GUARDED_BY(mu_);
-  std::vector<std::vector<Observation>> staged_batches_ V6MON_GUARDED_BY(mu_);
-  void seal_staging() V6MON_REQUIRES(mu_);  ///< Move staging_ into staged_batches_.
-  /// Finalized site-major columnar store. Published by finalize() (which
-  /// holds mu_ while rebuilding) and read lock-free afterwards: ingest
-  /// and analysis are separate phases — Campaign::finalize() is the
-  /// barrier — so these fields are intentionally NOT lock-annotated.
+  /// Ingest order; drained by finalize(). A deque: appends never copy
+  /// earlier rows, so ingest never holds a doubled buffer (a growing
+  /// vector raised v6bench's peak RSS by about 8%).
+  std::deque<Observation> rows_;
+  /// Finalized site-major columnar store.
   ObservationColumns cols_;
   /// Dense index: site id -> slice of `cols_` ({0,0} = absent).
   struct SiteRef {
     std::uint32_t offset = 0;
     std::uint32_t count = 0;
   };
-  std::vector<SiteRef> site_index_;       ///< Phase-published (see cols_).
-  std::vector<std::uint32_t> site_ids_;   ///< Sorted sites present; phase-published.
-  std::vector<RoundCounters> rounds_ V6MON_GUARDED_BY(mu_);
-  bool finalized_ = false;  ///< Phase-published (see cols_).
+  std::vector<SiteRef> site_index_;
+  std::vector<std::uint32_t> site_ids_;  ///< Sorted sites present.
+  std::vector<RoundCounters> rounds_;
+  bool finalized_ = false;
 
-  RoundCounters& round_slot(std::uint32_t round) V6MON_REQUIRES(mu_);
+  RoundCounters& round_slot(std::uint32_t round);
 };
 
 /// Read-only abstraction the analysis layer consumes: per-site series,

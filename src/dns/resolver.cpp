@@ -8,7 +8,7 @@ namespace {
 
 /// Campaign-wide mirrors of the per-Resolver Stats counters. Each event
 /// fires once per (site, round) RNG stream, so totals are deterministic
-/// in thread count and sink backend.
+/// in thread count.
 struct DnsMetricIds {
   obs::MetricId queries = obs::metrics().counter("dns.queries");
   obs::MetricId timeouts = obs::metrics().counter("dns.timeouts");

@@ -14,8 +14,8 @@ namespace v6mon::obs {
 namespace {
 
 /// Per-thread shard lookup, keyed by a process-unique registry id (never
-/// by pointer — a destroyed registry's address can be reused; same
-/// discipline as core::ShardedSink's lane cache).
+/// by pointer — a destroyed registry's address can be reused, and a
+/// stale pointer hit would hand a thread another registry's shard).
 struct ShardSlot {
   std::uint64_t registry_id = 0;  ///< 0 = empty (ids start at 1).
   void* shard = nullptr;

@@ -32,7 +32,7 @@ enum class Stage : std::uint8_t {
   kIdentityFetch,    ///< Initial per-family page fetches + 6% check.
   kRepeatDownloads,  ///< One family's repeat-until-CI download loop.
   kRibBuild,         ///< BGP convergence + RIB insertion (world build).
-  kIngestFlush,      ///< Round-boundary sink flush into the results store.
+  kIngestFlush,      ///< Coordinator append of a round's result slots.
   kAnalysis,         ///< The Fig. 4 analysis pass over a finalized store.
   kSiteResolve,      ///< Campaign-lifetime SoA site resolution (prefetch).
 };
@@ -58,10 +58,10 @@ using MetricId = std::uint32_t;
 /// Low-overhead metrics store: named counters, gauges, and fixed-bin
 /// latency histograms, plus per-stage wall-time accumulators.
 ///
-/// Sharding discipline (same as core::ShardedSink): every recording
-/// thread owns a private shard — counter/histogram cells are relaxed
-/// atomics on cachelines only that thread writes, so the record hot path
-/// takes no lock and contends on nothing. `merge_shards()` folds the
+/// Sharding discipline: every recording thread owns a private shard —
+/// counter/histogram cells are relaxed atomics on cachelines only that
+/// thread writes, so the record hot path takes no lock and contends on
+/// nothing. `merge_shards()` folds the
 /// shards into the registry totals; since every fold is a sum of
 /// non-negative integers, the merged totals are independent of shard
 /// count, merge order, and thread scheduling — counters recorded from a

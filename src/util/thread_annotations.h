@@ -16,9 +16,10 @@
 ///
 /// Conventions:
 ///  * Shared state is a field annotated `V6MON_GUARDED_BY(mu_)`; state
-///    published by a phase barrier instead of a lock (e.g. ResultsDb's
-///    post-finalize columns) is NOT annotated and carries a comment
-///    naming the protocol that makes it safe.
+///    kept safe by a protocol instead of its own lock (e.g. ResultsDb,
+///    whose writers hold the owning VpStore's epoch mutex and whose
+///    readers start after finalize) is NOT annotated and carries a
+///    comment naming that protocol.
 ///  * Private helpers called with a lock held are annotated
 ///    `V6MON_REQUIRES(mu_)` instead of re-locking.
 ///  * Lock-order intent between two capabilities is declared with

@@ -17,7 +17,6 @@
 
 #include "core/campaign.h"
 #include "core/results.h"
-#include "core/sink.h"
 #include "core/thread_pool.h"
 #include "scenario/world_builder.h"
 #include "serial_rounds.h"
@@ -121,87 +120,6 @@ TEST(PathRegistryStress, ConcurrentInterningStaysConsistent) {
     EXPECT_EQ(ids[static_cast<std::size_t>(t)], ids[0])
         << "interning must dedup to identical ids on every thread";
   }
-}
-
-// --- Sharded sink ingest ---------------------------------------------------
-
-// Many threads hammering one ShardedSink through their thread-local
-// lanes: record, count, and path interning all run with zero shared-lock
-// traffic on the hot path, then one flush merges everything. Under TSan
-// any accidental sharing between shards (or between a lane and the
-// merge) is a hard failure; on plain builds the totals double as a
-// lost-update detector against the same rows written serially straight
-// into a ResultsDb.
-TEST(ShardedSinkStress, ConcurrentLaneIngestLosesNothing) {
-  constexpr int kThreads = 8;
-  constexpr std::uint32_t kRowsPerThread = 4000;
-  constexpr topo::Asn kDistinctPaths = 48;
-
-  /// Thread t's i-th row, its two paths interned through `intern`.
-  const auto make_row = [](int t, std::uint32_t i, auto&& intern) {
-    const topo::Asn p = (i + static_cast<topo::Asn>(t) * 7) % kDistinctPaths;
-    Observation o;
-    o.site = static_cast<std::uint32_t>(t) * kRowsPerThread + i;
-    o.round = i % 5;
-    o.status = MonitorStatus::kMeasured;
-    o.v4_speed_kBps = static_cast<float>(t + 1);
-    o.v6_speed_kBps = static_cast<float>(i % 97);
-    o.v4_path = intern(std::vector<topo::Asn>{p, p + 1});
-    o.v6_path = intern(std::vector<topo::Asn>{p, p + 2, p + 3});
-    return o;
-  };
-
-  ResultsDb sharded_db, direct_db;
-  ShardedSink sharded(sharded_db);
-  {
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&sharded, &make_row, t] {
-        ShardedSink::Lane& lane = sharded.lane();
-        for (std::uint32_t i = 0; i < kRowsPerThread; ++i) {
-          const Observation o = make_row(
-              t, i, [&lane](const auto& path) { return lane.paths().intern(path); });
-          lane.record(o);
-          lane.count(o.round, o.status);
-        }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-  }
-  sharded.count_listed(0, kThreads * kRowsPerThread);
-  sharded.flush();
-
-  for (int t = 0; t < kThreads; ++t) {
-    for (std::uint32_t i = 0; i < kRowsPerThread; ++i) {
-      const Observation o = make_row(t, i, [&direct_db](const auto& path) {
-        return direct_db.paths().intern(path);
-      });
-      direct_db.add(o);
-      direct_db.count(o.round, o.status);
-    }
-  }
-  direct_db.count_listed(0, kThreads * kRowsPerThread);
-
-  EXPECT_GE(sharded.shard_count(), 1u);
-  sharded_db.finalize();
-  direct_db.finalize();
-
-  // Every row arrived exactly once, into the right site slot.
-  EXPECT_EQ(sharded_db.num_sites(),
-            static_cast<std::size_t>(kThreads) * kRowsPerThread);
-  EXPECT_EQ(sharded_db.num_sites(), direct_db.num_sites());
-  // Private per-shard registries canonicalized into one deduped registry.
-  EXPECT_EQ(sharded_db.paths().size(), direct_db.paths().size());
-  // Counter deltas merged without loss.
-  for (std::uint32_t r = 0; r < 5; ++r) {
-    EXPECT_EQ(sharded_db.round_counters(r).measured,
-              direct_db.round_counters(r).measured)
-        << "round " << r;
-  }
-  EXPECT_EQ(sharded_db.round_counters(0).listed, direct_db.round_counters(0).listed);
-  // Sites are unique here, so the full dumps must agree byte for byte
-  // (path *ids* may differ; the CSV renders path content).
-  EXPECT_EQ(sharded_db.to_csv(), direct_db.to_csv());
 }
 
 // --- Overlapping Campaign rounds -----------------------------------------

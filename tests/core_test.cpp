@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <limits>
@@ -13,6 +14,7 @@
 #include "core/thread_pool.h"
 #include "scenario/paper.h"
 #include "scenario/world_builder.h"
+#include "util/contracts.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "web/dns_backend.h"
@@ -122,6 +124,7 @@ TEST(ResultsDb, CsvContainsObservations) {
   o.v4_path = db.paths().intern({5, 12});
   o.v6_path = db.paths().intern({6, 12});
   db.add(o);
+  db.finalize();
   const std::string csv = db.to_csv();
   EXPECT_NE(csv.find("3,1,measured,50,45"), std::string::npos);
   EXPECT_NE(csv.find("AS5 AS12"), std::string::npos);
@@ -135,14 +138,16 @@ TEST(ResultsDb, CsvRowEdgeCases) {
   o.status = MonitorStatus::kV6DownloadFailed;  // origins kNoAs, v4 path kNoPath
   o.v6_path = db.paths().intern({});
   db.add(o);
+  db.finalize();
   const std::string csv = db.to_csv();
   EXPECT_EQ(csv.substr(csv.find('\n') + 1), "4,2,v6-download-failed,0,0,0,0,,,-,(local)\n");
 }
 
-/// `n` rows over a handful of sites, inserted site-interleaved with
-/// ascending rounds per site, on paths of 1-4 hops (enough bytes to span
-/// several write chunks).
-void add_mixed_rows(ResultsDb& db, std::uint32_t n) {
+/// `n` rows over a handful of sites, one per (site, round), site-
+/// interleaved with ascending rounds per site, on paths of 1-4 hops
+/// interned into `db` (enough bytes to span several write chunks).
+std::vector<Observation> mixed_rows(ResultsDb& db, std::uint32_t n) {
+  std::vector<Observation> rows;
   for (std::uint32_t i = 0; i < n; ++i) {
     Observation o;
     o.site = (i * 7919u) % 97u;
@@ -161,24 +166,86 @@ void add_mixed_rows(ResultsDb& db, std::uint32_t n) {
       o.v6_path = db.paths().intern(path);
       o.v6_origin = 174;
     }
-    db.add(o);
+    rows.push_back(o);
   }
+  return rows;
 }
 
+/// The dump of `rows` rendered independently of the writer: sorted by
+/// (site, round), numbers through a default-state ostream.
+std::string csv_oracle(std::vector<Observation> rows, const PathRegistry& paths) {
+  std::sort(rows.begin(), rows.end(), [](const Observation& a, const Observation& b) {
+    return a.site != b.site ? a.site < b.site : a.round < b.round;
+  });
+  std::ostringstream out;
+  out << "site,round,status,v4_speed_kBps,v6_speed_kBps,v4_samples,v6_samples,"
+         "v4_origin,v6_origin,v4_path,v6_path\n";
+  const auto origin = [](topo::Asn as) {
+    return as == topo::kNoAs ? std::string() : std::to_string(as);
+  };
+  for (const Observation& o : rows) {
+    out << o.site << ',' << o.round << ',' << monitor_status_name(o.status) << ','
+        << o.v4_speed_kBps << ',' << o.v6_speed_kBps << ',' << o.v4_samples << ','
+        << o.v6_samples << ',' << origin(o.v4_origin) << ',' << origin(o.v6_origin) << ','
+        << paths.to_string(o.v4_path) << ',' << paths.to_string(o.v6_path) << '\n';
+  }
+  return out.str();
+}
+
+// The finalized dump is the added rows in (site, round) order, whatever
+// order they were added in, across chunk boundaries.
 TEST(ResultsDb, CsvFinalizedMatchesUnfinalized) {
-  ResultsDb staged;
-  ResultsDb finalized;
-  add_mixed_rows(staged, 20000);
-  add_mixed_rows(finalized, 20000);
-  finalized.finalize();
-  const std::string csv = staged.to_csv();
+  ResultsDb db;
+  std::vector<Observation> rows = mixed_rows(db, 20000);
+  util::Rng(7).shuffle(rows);
+  for (const Observation& o : rows) db.add(o);
+  db.finalize();
+  const std::string csv = db.to_csv();
   EXPECT_GT(csv.size(), 3u * 64 * 1024);
-  EXPECT_EQ(csv, finalized.to_csv());
+  EXPECT_EQ(csv, csv_oracle(rows, db.paths()));
+}
+
+TEST(ResultsDb, AddAfterFinalizeIsRejected) {
+  ResultsDb db;
+  Observation o;
+  o.site = 1;
+  db.add(o);
+  db.finalize();
+  EXPECT_THROW(db.add(o), ContractError);
+}
+
+TEST(ResultsDb, WriteCsvRequiresFinalize) {
+  ResultsDb db;
+  Observation o;
+  o.site = 1;
+  db.add(o);
+  std::ostringstream out;
+  EXPECT_THROW(db.write_csv(out), ContractError);
+}
+
+// W6D mini-rounds of one site share a round; the store keeps them in
+// the order they were added.
+TEST(ResultsDb, EqualRoundRowsKeepAddOrder) {
+  ResultsDb db;
+  Observation o;
+  o.site = 5;
+  o.round = 9;
+  o.status = MonitorStatus::kMeasured;
+  for (int mini = 0; mini < 12; ++mini) {
+    o.v4_speed_kBps = static_cast<float>(100 - mini);
+    db.add(o);
+  }
+  db.finalize();
+  const SiteSeries series = db.series(5);
+  ASSERT_EQ(series.size(), 12u);
+  for (std::size_t mini = 0; mini < 12; ++mini) {
+    EXPECT_EQ(series.v4_speeds()[mini], static_cast<float>(100 - mini)) << mini;
+  }
 }
 
 TEST(ResultsDb, CsvIgnoresCallerStreamFlags) {
   ResultsDb db;
-  add_mixed_rows(db, 500);
+  for (const Observation& o : mixed_rows(db, 500)) db.add(o);
   db.finalize();
   std::ostringstream flagged;
   flagged.precision(2);
@@ -197,6 +264,7 @@ std::vector<std::string> csv_speed_fields(const std::vector<float>& values) {
     o.v6_speed_kBps = values[i + 1];
     db.add(o);
   }
+  db.finalize();
   std::istringstream csv(db.to_csv());
   std::string line;
   std::getline(csv, line);  // header

@@ -8,10 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,7 +17,6 @@
 #include "analysis/tables.h"
 #include "core/campaign.h"
 #include "core/results.h"
-#include "core/sink.h"
 #include "scenario/world_builder.h"
 #include "serial_rounds.h"
 
@@ -104,12 +101,24 @@ void expect_identical_store(const ResultsDb& a, const ResultsDb& b) {
   }
 }
 
+/// Every listed site of a regular round lands in exactly one status
+/// bucket: the fast path's v4-only bulk count plus one count per queued
+/// site's result slot, rows or not.
+void expect_counters_cover_listed(const ResultsDb& db) {
+  for (std::uint32_t r = 0; r < db.rounds(); ++r) {
+    const RoundCounters& c = db.round_counters(r);
+    EXPECT_EQ(c.listed, c.v4_only + c.v6_only + c.dual + c.dns_failed) << "round " << r;
+  }
+}
+
 void expect_identical_observables(const Campaign& serial, const Campaign& parallel) {
   const World& world = serial.world();
   for (std::size_t vp = 0; vp < world.vantage_points.size(); ++vp) {
     SCOPED_TRACE(world.vantage_points[vp].name);
     EXPECT_EQ(serial.w6d_results(vp).to_csv(), parallel.w6d_results(vp).to_csv());
     expect_identical_store(serial.results(vp), parallel.results(vp));
+    expect_counters_cover_listed(serial.results(vp));
+    expect_counters_cover_listed(parallel.results(vp));
   }
 }
 
@@ -203,142 +212,6 @@ TEST(Determinism, ExecutorSchedulingInvisibleUnderFailureInjection) {
     EXPECT_EQ(table4_csv(*reference), table4_csv(*run));
   }
 }
-
-// --- Ingest matrix ---------------------------------------------------------
-//
-// The store a campaign's rows land in must be as invisible as the
-// schedule. Each cell replays the serial reference's per-VP stores
-// (regular and W6D) round by round from threads {1, 8} into a fresh
-// database, sites dealt round-robin over the threads and each counter
-// split between them, and must reproduce the reference byte for byte —
-// observation CSVs, path counts, per-round counters and the analysis
-// table. Mutex: straight into the database (`add`/`count`/
-// `count_listed` under its own mutex, paths interned into its registry).
-// Sharded: through the campaign's ShardedSink (a lane per thread with
-// lane-local path ids, canonicalized at each round's flush).
-
-enum class Ingest : std::uint8_t { kMutex, kSharded };
-
-/// One round of a finalized store: its rows and its counters.
-struct RoundSlice {
-  std::vector<Observation> rows;
-  RoundCounters counters;
-};
-
-std::vector<RoundSlice> slice_by_round(const ResultsDb& db) {
-  std::vector<RoundSlice> slices(db.rounds());
-  for (std::uint32_t r = 0; r < db.rounds(); ++r) slices[r].counters = db.round_counters(r);
-  for (const std::uint32_t site : db.site_ids()) {
-    const SiteSeries series = db.series(site);
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      const Observation obs = series[i];
-      if (obs.round >= slices.size()) slices.resize(obs.round + 1);
-      slices[obs.round].rows.push_back(obs);
-    }
-  }
-  return slices;
-}
-
-/// Replay finalized `src` into empty `dst` through `ingest` from
-/// `threads` threads, one ingest epoch per round; finalizes `dst`.
-void replay(const ResultsDb& src, ResultsDb& dst, Ingest ingest, unsigned threads) {
-  ShardedSink sink(dst);
-  const std::vector<RoundSlice> slices = slice_by_round(src);
-  for (std::uint32_t r = 0; r < slices.size(); ++r) {
-    const RoundCounters& c = slices[r].counters;
-    // Counters carry no rows for the v4-only masses, so they replay from
-    // the counters themselves; `dual` is rebuilt from its three parts.
-    EXPECT_EQ(c.dual, c.download_failed + c.different_content + c.measured) << r;
-    const std::pair<MonitorStatus, std::uint64_t> counts[] = {
-        {MonitorStatus::kDnsFailed, c.dns_failed},
-        {MonitorStatus::kV4Only, c.v4_only},
-        {MonitorStatus::kV6Only, c.v6_only},
-        {MonitorStatus::kV6DownloadFailed, c.download_failed},
-        {MonitorStatus::kDifferentContent, c.different_content},
-        {MonitorStatus::kMeasured, c.measured}};
-    std::vector<std::thread> workers;
-    for (unsigned t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        PathRegistry& reg = ingest == Ingest::kMutex ? dst.paths() : sink.lane().paths();
-        const auto intern = [&](PathId id) {
-          return id == kNoPath ? kNoPath : reg.intern(src.paths().path(id));
-        };
-        // A site's rows stay on one thread, in order: W6D repeats sites
-        // within a round, and that order is part of the dump.
-        const std::vector<Observation>& rows = slices[r].rows;
-        std::size_t site_ordinal = 0;
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-          if (i > 0 && rows[i].site != rows[i - 1].site) ++site_ordinal;
-          if (site_ordinal % threads != t) continue;
-          Observation obs = rows[i];
-          obs.v4_path = intern(obs.v4_path);
-          obs.v6_path = intern(obs.v6_path);
-          if (ingest == Ingest::kMutex) {
-            dst.add(obs);
-          } else {
-            sink.lane().record(obs);
-          }
-        }
-        for (const auto& [status, n] : counts) {
-          const std::uint64_t part = n / threads + (t < n % threads ? 1 : 0);
-          if (part == 0) continue;
-          if (ingest == Ingest::kMutex) {
-            dst.count(r, status, part);
-          } else {
-            sink.lane().count(r, status, part);
-          }
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    if (r < src.rounds()) sink.count_listed(r, c.listed);
-    sink.flush();
-  }
-  dst.finalize();
-}
-
-/// Hold replays of every store of `reference` through `ingest` to the
-/// reference itself, at threads {1, 8}.
-void expect_replays_identical(const Campaign& reference, Ingest ingest) {
-  const World& world = reference.world();
-  for (const unsigned threads : {1u, 8u}) {
-    SCOPED_TRACE(threads);
-    std::deque<ResultsDb> stores;  // deque: ObservationViews point into it
-    std::vector<ObservationView> views;
-    for (std::size_t vp = 0; vp < world.vantage_points.size(); ++vp) {
-      SCOPED_TRACE(world.vantage_points[vp].name);
-      ResultsDb& regular = stores.emplace_back();
-      replay(reference.results(vp), regular, ingest, threads);
-      expect_identical_store(reference.results(vp), regular);
-      views.emplace_back(regular);
-      ResultsDb& w6d = stores.emplace_back();
-      replay(reference.w6d_results(vp), w6d, ingest, threads);
-      expect_identical_store(reference.w6d_results(vp), w6d);
-    }
-    EXPECT_EQ(table4_csv(reference), table4_csv(world, views));
-  }
-}
-
-class SinkBackendMatrix : public ::testing::TestWithParam<Ingest> {};
-
-TEST_P(SinkBackendMatrix, ByteIdenticalToSerialMutexReference) {
-  const auto reference = run_with(1, 2011, 0.0, 0.0, /*serial_rounds=*/true);
-  expect_replays_identical(*reference, GetParam());
-}
-
-// Failure injection leaves dual-stack sites without speeds or paths and
-// fills the dns-failed and download-failed counters the clean run barely
-// touches.
-TEST_P(SinkBackendMatrix, ByteIdenticalUnderFailureInjection) {
-  const auto reference = run_with(1, 404, 0.2, 0.05, /*serial_rounds=*/true);
-  expect_replays_identical(*reference, GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(AllBackends, SinkBackendMatrix,
-                         ::testing::Values(Ingest::kMutex, Ingest::kSharded),
-                         [](const auto& cell) {
-                           return cell.param == Ingest::kMutex ? "Mutex" : "Sharded";
-                         });
 
 // The RIBs a campaign reads must themselves be schedule-free: building the
 // same world with a serial and a wide pool must give identical tables.

@@ -1,7 +1,7 @@
 // Golden outputs: absolute pins of everything examples/full_study emits.
 //
 // The determinism matrices elsewhere only prove that one configuration
-// matches another (threads x sinks, incremental x rebuild). This test
+// matches another (thread counts, incremental x rebuild). This test
 // pins the outputs themselves: it replays full_study's call sequence in
 // process at two small configurations and compares a digest of every
 // output against the files committed under tests/golden/.

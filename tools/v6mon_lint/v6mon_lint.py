@@ -2,7 +2,7 @@
 """v6mon-lint: determinism static analysis for the v6mon source tree.
 
 The project promises byte-identical outputs for a given seed across
-thread counts, sink backends and platforms (DESIGN.md §12). The compiler
+thread counts, schedules and platforms (DESIGN.md §12). The compiler
 cannot check that promise, and most violations (iterating a hash map
 into a report, reading a clock in measurement math) are silent: the
 program stays correct-looking while its bytes drift between runs. This
@@ -545,8 +545,8 @@ def rule_d006(sf: SourceFile) -> list[Finding]:
 
 
 # Files (relative to the repo root) holding campaign control flow. D007
-# applies only here: the Executor's own implementation, the thread pool
-# and the sinks legitimately wait — the campaign layer must not.
+# applies only here: the Executor's own implementation and the thread
+# pool legitimately wait — the campaign layer must not.
 CAMPAIGN_FILES = ("src/core/campaign.cpp", "src/core/campaign.h")
 
 D007_BARRIER_RE = re.compile(r"(?:\.|->)\s*(wait_idle|wait|join)\s*\(")
