@@ -2,7 +2,7 @@
 //
 // Times the four stages that dominate a full study — world construction,
 // RIB construction, one campaign round, and the analysis pass — at
-// thread counts 1 and 8, so the speedup of the parallel RIB fan-out and
+// thread counts 1 and 8 (the world build also at 4), so the speedup of the parallel RIB fan-out and
 // the persistent campaign executor is a number in a JSON artifact rather
 // than a claim in a commit message:
 //
@@ -23,7 +23,6 @@
 
 #include <cstdlib>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -40,6 +39,7 @@
 #include "transport/download.h"
 #include "transport/path.h"
 #include "util/rng.h"
+#include "web/catalog.h"
 
 namespace {
 
@@ -71,7 +71,23 @@ void BM_WorldBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(world.catalog.size());
   }
 }
-BENCHMARK(BM_WorldBuild)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WorldBuild)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+/// The world build's critical path on its own: SiteCatalog::generate,
+/// serial on its one RNG stream, over the paper-scale graph with the
+/// spec build_world uses. BM_WorldBuild/4 converges the routes while the
+/// catalog generates, so it should sit only a little above this.
+void BM_CatalogGenerate(benchmark::State& state) {
+  const core::World& world = shared_world();
+  const scenario::WorldSpec spec = scenario::paper_spec(bench_seed(), bench_scale());
+  web::CatalogParams params = spec.catalog;
+  params.w6d_round = spec.w6d_round;
+  for (auto _ : state) {
+    util::Rng rng = util::Rng(spec.seed).child("catalog");
+    benchmark::DoNotOptimize(web::SiteCatalog::generate(world.graph, params, rng).size());
+  }
+}
+BENCHMARK(BM_CatalogGenerate)->Unit(benchmark::kMillisecond);
 
 void BM_RibBuild(benchmark::State& state) {
   core::World& world = shared_world();
@@ -85,8 +101,8 @@ void BM_RibBuild(benchmark::State& state) {
 BENCHMARK(BM_RibBuild)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
 /// The convergence kernel on its own: serial compute_routes_to over a
-/// fixed sample of build_ribs' sorted destination list (every AS hosting
-/// a site presence), on the paper-scale family view the argument names
+/// fixed sample of the world build's sorted destination list (the
+/// hosting candidates), on the paper-scale family view the argument names
 /// (4 or 6; the v6 sample keeps only IPv6-speaking destinations). One
 /// iteration converges the whole sample; `per_table` is the time per
 /// table (seconds, so the console's "80u" reads 80 µs).
@@ -94,13 +110,8 @@ void BM_RouteTable(benchmark::State& state) {
   const core::World& world = shared_world();
   const ip::Family family =
       state.range(0) == 4 ? ip::Family::kIpv4 : ip::Family::kIpv6;
-  std::set<topo::Asn> dest_set;
-  for (const web::Site& s : world.catalog.sites()) {
-    dest_set.insert(s.v4_as);
-    if (s.v6_from_round != web::kNever) dest_set.insert(s.v6_as);
-  }
   std::vector<topo::Asn> dests;
-  for (const topo::Asn d : dest_set) {
+  for (const topo::Asn d : web::hosting_candidates(world.graph).all()) {
     if (family == ip::Family::kIpv4 || world.graph.node(d).has_v6) dests.push_back(d);
   }
   constexpr std::size_t kSample = 256;

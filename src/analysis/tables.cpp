@@ -67,23 +67,23 @@ std::vector<Fig3aBucket> fig3a_buckets(const web::SiteCatalog& catalog,
   static constexpr Def kDefs[] = {{"Top 10", 10},     {"Top 100", 100},
                                   {"Top 1k", 1'000},  {"Top 10k", 10'000},
                                   {"Top 100k", 100'000}, {"Top 1M", 0xffffffffu}};
-  // One pass: count each listed ranked site in the tightest bucket its
-  // rank falls into, then sum the nested buckets outward.
-  std::size_t sites[std::size(kDefs)] = {}, v6[std::size(kDefs)] = {};
-  for (const web::Site& s : catalog.sites()) {
-    if (s.from_dns_cache || s.rank == 0 || !s.in_list_at(round)) continue;
+  // The listed ranked sites are ranks 1..listed (SiteCatalog pins rank
+  // == id + 1 in first-seen order), so a bucket's site count is a min;
+  // only the dual-stack ones are walked, each into the tightest bucket
+  // its rank falls into, and the nested buckets are summed outward.
+  const std::size_t listed = catalog.listed_at(round);
+  std::size_t v6[std::size(kDefs)] = {};
+  for (const std::uint32_t id : catalog.dual_stack_at(round, /*with_supplement=*/false)) {
+    const std::uint32_t rank = catalog.site(id).rank;
     std::size_t b = 0;
-    while (s.rank > kDefs[b].max_rank) ++b;
-    ++sites[b];
-    if (s.dual_stack_at(round)) ++v6[b];
+    while (rank > kDefs[b].max_rank) ++b;
+    ++v6[b];
   }
   std::vector<Fig3aBucket> out;
   for (std::size_t b = 0; b < std::size(kDefs); ++b) {
-    if (b > 0) {
-      sites[b] += sites[b - 1];
-      v6[b] += v6[b - 1];
-    }
-    out.push_back({kDefs[b].label, sites[b], share(v6[b], sites[b])});
+    if (b > 0) v6[b] += v6[b - 1];
+    const std::size_t sites = std::min<std::size_t>(kDefs[b].max_rank, listed);
+    out.push_back({kDefs[b].label, sites, share(v6[b], sites)});
   }
   return out;
 }

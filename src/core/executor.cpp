@@ -70,7 +70,8 @@ struct Executor::Sched {
   }
 };
 
-Executor::Executor(ThreadPool& pool) : pool_(pool) {}
+Executor::Executor(ThreadPool& pool, bool record_metrics)
+    : pool_(pool), record_metrics_(record_metrics) {}
 Executor::~Executor() = default;
 
 Executor::NodeId Executor::add(std::uint64_t key, std::function<void()> body) {
@@ -128,7 +129,7 @@ void Executor::execute_ready(const std::shared_ptr<Sched>& sched, NodeId id,
     {
       util::LockGuard lock(sched->mu);
       if (stolen) ++sched->stolen;
-      const bool stamp = metrics.enabled();
+      const bool stamp = record_metrics_ && metrics.enabled();
       for (const NodeId succ : node.successors) {
         V6MON_ASSERT(nodes_[succ].unmet > 0, "Executor unmet underflow");
         if (--nodes_[succ].unmet == 0) {
@@ -194,7 +195,8 @@ void Executor::run() {
   roots_ = root_count();  // snapshot before execution consumes unmet
   ran_ = true;
   auto& metrics = obs::metrics();
-  if (metrics.enabled()) {
+  const bool record = record_metrics_ && metrics.enabled();
+  if (record) {
     const ExecutorMetricIds& ids = executor_metric_ids();
     metrics.add(ids.nodes, nodes_.size());
     metrics.add(ids.edges, edges_);
@@ -205,11 +207,11 @@ void Executor::run() {
 
   const auto sched = std::make_shared<Sched>();
   std::size_t initial_ready = 0;
+  NodeId first = kNoNode;
   {
     util::LockGuard lock(sched->mu);
     sched->remaining = nodes_.size();
-    const bool stamp = metrics.enabled();
-    const std::uint64_t start_ns = stamp ? obs::now_ns() : 0;
+    const std::uint64_t start_ns = record ? obs::now_ns() : 0;
     for (NodeId id = 0; id < nodes_.size(); ++id) {
       if (nodes_[id].unmet == 0) {
         nodes_[id].ready_ns = start_ns;
@@ -217,10 +219,14 @@ void Executor::run() {
         ++initial_ready;
       }
     }
+    // The caller's own root, popped before any helper exists: the first
+    // root in dispatch order always runs on the calling thread (the world
+    // build relies on it to keep the catalog's allocations there).
+    if (initial_ready > 0) first = sched->pop_ready();
   }
   V6MON_REQUIRE(initial_ready > 0, "Executor graph has no root node");
 
-  // The caller takes one root itself; offer the rest to the pool.
+  // Offer the other roots to the pool.
   if (pool_.thread_count() > 1 && initial_ready > 1) {
     for (std::size_t i = 1; i < initial_ready; ++i) {
       pool_.submit([this, sched] {
@@ -233,6 +239,8 @@ void Executor::run() {
       });
     }
   }
+
+  execute_ready(sched, first, /*stolen=*/false);
 
   // Caller participation loop: execute ready nodes until the graph is
   // done, sleeping only while every runnable node is on a pool worker.
@@ -261,7 +269,7 @@ void Executor::run() {
     util::LockGuard lock(sched->mu);
     stolen_ = sched->stolen;
   }
-  if (metrics.enabled()) {
+  if (record) {
     metrics.set_gauge("executor.nodes_stolen", static_cast<double>(stolen_));
   }
 }

@@ -1,11 +1,12 @@
 #include "scenario/world_builder.h"
 
 #include <algorithm>
+#include <exception>
 #include <optional>
-#include <set>
 #include <thread>
 
 #include "bgp/route_computer.h"
+#include "core/executor.h"
 #include "core/thread_pool.h"
 #include "obs/metrics.h"
 #include "util/contracts.h"
@@ -205,16 +206,38 @@ TunnelStats apply_tunnel_overlay(AsGraph& graph, std::size_t num_relays,
   return stats;
 }
 
-void build_ribs(core::World& world, std::size_t threads) {
-  const obs::TraceSpan rib_span(obs::Stage::kRibBuild);
-  // Counted serially below, so plain tallies; added to the registry once
-  // at the end (both are functions of the world alone — deterministic).
-  std::uint64_t tables_built = 0;
-  std::uint64_t routes_installed = 0;
-  const AsGraph& g = world.graph;
-  core::ThreadPool pool(resolve_build_threads(threads));
-  // One CSR projection per family, shared read-only by every convergence
-  // worker below — the graph is frozen once build_ribs starts.
+namespace {
+
+/// What one destination contributes to the RIBs: its v4 and v6 route
+/// tables reduced to each vantage point's selected path, so a worker can
+/// drop both tables as soon as it has read them.
+struct DestRoutes {
+  std::vector<std::optional<bgp::RibEntry>> v4;  ///< Indexed like the VPs.
+  std::vector<std::optional<bgp::RibEntry>> v6;  ///< Empty without IPv6.
+};
+
+/// Converged routes toward an ascending destination set, plus each VP's
+/// 6to4 anycast route; installed into the RIBs by install_routes.
+struct ConvergedRoutes {
+  std::vector<Asn> dests;
+  std::vector<DestRoutes> routes;  ///< Indexed like `dests`.
+  std::vector<std::optional<bgp::RibEntry>> relay;  ///< Indexed like the VPs.
+  std::uint64_t relay_tables = 0;
+};
+
+std::vector<Asn> vantage_asns(const core::World& world) {
+  std::vector<Asn> asns;
+  for (const core::VantagePoint& vp : world.vantage_points) asns.push_back(vp.asn);
+  return asns;
+}
+
+/// Converge BGP toward every AS in `dests` (ascending) and toward the
+/// tunnel relays, on `pool`. Reads only the graph, which must not change
+/// until this returns; peak memory is one pair of route tables per
+/// worker on top of the reduced routes.
+ConvergedRoutes converge_routes(const AsGraph& g, const std::vector<Asn>& vps,
+                                std::vector<Asn> dests, core::ThreadPool& pool) {
+  ConvergedRoutes out;
   const bgp::FamilyView v4_view(g, ip::Family::kIpv4);
   const bgp::FamilyView v6_view(g, ip::Family::kIpv6);
 
@@ -222,101 +245,111 @@ void build_ribs(core::World& world, std::size_t threads) {
   // A router's table carries one 2002::/16 route toward the *nearest*
   // relay; the destination island never appears in the AS path. This is
   // why tunnelled IPv6 paths look 1-2 hops long while performing like the
-  // whole underlay — the paper's Table 7 artifact.
-  //
-  // The per-relay tables do not depend on the vantage point, so they are
-  // computed once (in parallel, ordered by relay ASN) instead of once per
-  // VP; each VP then just scans the shared tables for its nearest relay.
-  std::set<Asn> relays;
+  // whole underlay — the paper's Table 7 artifact. The per-relay tables do
+  // not depend on the vantage point, so they are computed once and each
+  // VP scans them for its nearest relay (ties go to the lowest relay ASN).
+  std::vector<Asn> relays;
   for (std::uint32_t id = 0; id < g.num_links(); ++id) {
-    if (g.link(id).v6_tunnel) relays.insert(g.link(id).a);
+    if (g.link(id).v6_tunnel) relays.push_back(g.link(id).a);
   }
-  if (!relays.empty()) {
-    const std::vector<Asn> relay_list(relays.begin(), relays.end());
-    const auto relay_tables = compute_tables_parallel(pool, v6_view, relay_list);
-    tables_built += relay_list.size();
-    const ip::Ipv6Prefix six_to_four = ip::Ipv6Prefix::parse_or_throw("2002::/16");
-    for (core::VantagePoint& vp : world.vantage_points) {
-      const bgp::RouteTable* best = nullptr;
-      for (const auto& table : relay_tables) {
-        const bgp::RouteTable& t = *table;
-        if (!t.reachable(vp.asn)) continue;
-        if (best == nullptr || t.path_length(vp.asn) < best->path_length(vp.asn)) {
-          best = &t;
-        }
-      }
-      if (best == nullptr) continue;
-      bgp::RibEntry e;
-      e.origin = best->dest();
-      e.as_path = best->as_path(vp.asn);
-      vp.rib.add_v6(six_to_four, e);
-      ++routes_installed;
+  std::sort(relays.begin(), relays.end());
+  relays.erase(std::unique(relays.begin(), relays.end()), relays.end());
+  const auto relay_tables = compute_tables_parallel(pool, v6_view, relays);
+  out.relay_tables = relays.size();
+  out.relay.resize(vps.size());
+  for (std::size_t v = 0; v < vps.size(); ++v) {
+    const bgp::RouteTable* best = nullptr;
+    for (const auto& table : relay_tables) {
+      const bgp::RouteTable& t = *table;
+      if (!t.reachable(vps[v])) continue;
+      if (best == nullptr || t.path_length(vps[v]) < best->path_length(vps[v])) best = &t;
     }
+    if (best != nullptr) out.relay[v] = bgp::RibEntry{best->dest(), best->as_path(vps[v])};
   }
-
-  // Destination set: every AS hosting a site presence (incl. relocations).
-  std::set<Asn> dest_set;
-  for (const web::Site& s : world.catalog.sites()) {
-    dest_set.insert(s.v4_as);
-    if (s.v6_from_round != web::kNever) dest_set.insert(s.v6_as);
-    if (const web::Hosting* h = world.catalog.relocation(s.id)) {
-      dest_set.insert(h->v4_as);
-      if (h->v6_as != topo::kNoAs) dest_set.insert(h->v6_as);
-    }
-  }
-  const std::vector<Asn> dests(dest_set.begin(), dest_set.end());
 
   // Convergence fans out per destination (each table only reads the
-  // graph); insertion into the VP tries stays serial and walks `dests` in
-  // sorted-ASN order, so the RIBs never see completion order. Windowed so
-  // peak memory stays O(batch) route tables rather than O(dests).
-  struct DestTables {
-    std::optional<bgp::RouteTable> v4;
-    std::optional<bgp::RouteTable> v6;
-  };
-  const std::size_t batch = std::max<std::size_t>(64, pool.thread_count() * 16);
-  std::vector<DestTables> tables;
-  for (std::size_t window = 0; window < dests.size(); window += batch) {
-    const std::size_t count = std::min(batch, dests.size() - window);
-    tables.assign(count, DestTables{});
-    core::parallel_index(pool, count, [&](std::size_t i) {
-      const Asn dest = dests[window + i];
-      tables[i].v4 = bgp::compute_routes_to(v4_view, dest);
-      if (g.node(dest).has_v6) {
-        tables[i].v6 = bgp::compute_routes_to(v6_view, dest);
+  // graph) into slots indexed like `dests`, so completion order never
+  // shows; each table is reduced to the VPs' paths right away.
+  out.routes.resize(dests.size());
+  core::parallel_index(pool, dests.size(), [&](std::size_t i) {
+    const Asn dest = dests[i];
+    const auto reduce = [&](const bgp::RouteTable& table, ip::Family family) {
+      std::vector<std::optional<bgp::RibEntry>> paths(vps.size());
+      for (std::size_t v = 0; v < vps.size(); ++v) {
+        if (!table.reachable(vps[v])) continue;
+        paths[v] = bgp::RibEntry{dest, table.as_path(vps[v])};
+        // Gao-Rexford: every path BGP selects must be valley-free; a
+        // violation here means compute_routes_to leaked an invalid export.
+        V6MON_ASSERT(bgp::is_valley_free(g, family, vps[v], paths[v]->as_path),
+                     "selected route violates valley-freedom");
       }
-    });
-    for (std::size_t i = 0; i < count; ++i) {
-      tables_built += tables[i].v6 ? 2u : 1u;
-      const Asn dest = dests[window + i];
-      const topo::AsNode& dn = g.node(dest);
-      const DestTables& dt = tables[i];
-      for (core::VantagePoint& vp : world.vantage_points) {
-        if (dt.v4->reachable(vp.asn)) {
-          bgp::RibEntry e;
-          e.origin = dest;
-          e.as_path = dt.v4->as_path(vp.asn);
-          // Gao-Rexford: every path BGP selects must be valley-free; a
-          // violation here means compute_routes_to leaked an invalid export.
-          V6MON_ASSERT(
-              bgp::is_valley_free(g, ip::Family::kIpv4, vp.asn, e.as_path),
-              "selected IPv4 route violates valley-freedom");
-          for (const auto& p : dn.v4_prefixes) vp.rib.add_v4(p, e);
-          routes_installed += dn.v4_prefixes.size();
-        }
-        if (dt.v6 && dt.v6->reachable(vp.asn)) {
-          bgp::RibEntry e;
-          e.origin = dest;
-          e.as_path = dt.v6->as_path(vp.asn);
-          V6MON_ASSERT(
-              bgp::is_valley_free(g, ip::Family::kIpv6, vp.asn, e.as_path),
-              "selected IPv6 route violates valley-freedom");
-          for (const auto& p : dn.v6_prefixes) {
-            // 6to4 space is covered by the anycast 2002::/16 route above.
-            if (p.network().is_6to4()) continue;
-            vp.rib.add_v6(p, e);
-            ++routes_installed;
-          }
+      return paths;
+    };
+    out.routes[i].v4 = reduce(bgp::compute_routes_to(v4_view, dest), ip::Family::kIpv4);
+    if (g.node(dest).has_v6) {
+      out.routes[i].v6 = reduce(bgp::compute_routes_to(v6_view, dest), ip::Family::kIpv6);
+    }
+  });
+  out.dests = std::move(dests);
+  return out;
+}
+
+/// Bitmap over ASNs of every AS hosting a site presence (incl. relocations).
+std::vector<bool> hosting_ases(const AsGraph& g, const web::SiteCatalog& catalog) {
+  std::vector<bool> hosted(g.num_ases(), false);
+  for (const web::Site& s : catalog.sites()) {
+    hosted[s.v4_as] = true;
+    if (s.v6_from_round != web::kNever) hosted[s.v6_as] = true;
+    // Only path-change step sites relocate (SiteCatalog::hosting_at).
+    if (s.step_round == web::kNever || !s.step_from_path_change) continue;
+    if (const web::Hosting* h = catalog.relocation(s.id)) {
+      hosted[h->v4_as] = true;
+      if (h->v6_as != topo::kNoAs) hosted[h->v6_as] = true;
+    }
+  }
+  return hosted;
+}
+
+/// Install the 6to4 route, then every hosting AS's routes in ascending
+/// ASN order, into the VP RIBs. Every hosting AS must be among the
+/// converged destinations.
+void install_routes(core::World& world, const ConvergedRoutes& converged,
+                    const std::vector<bool>& hosted) {
+  // Counted serially, so plain tallies; added to the registry once at
+  // the end (both are functions of the world alone — deterministic).
+  std::uint64_t tables_built = converged.relay_tables;
+  std::uint64_t routes_installed = 0;
+  const AsGraph& g = world.graph;
+  const ip::Ipv6Prefix six_to_four = ip::Ipv6Prefix::parse_or_throw("2002::/16");
+  for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
+    if (!converged.relay[v]) continue;
+    world.vantage_points[v].rib.add_v6(six_to_four, *converged.relay[v]);
+    ++routes_installed;
+  }
+
+  auto slot = converged.dests.begin();
+  for (std::size_t i = 0; i < hosted.size(); ++i) {
+    if (!hosted[i]) continue;
+    const Asn dest = static_cast<Asn>(i);
+    slot = std::lower_bound(slot, converged.dests.end(), dest);
+    V6MON_REQUIRE(slot != converged.dests.end() && *slot == dest,
+                  "a catalog hosting AS is not a hosting candidate");
+    const DestRoutes& dr =
+        converged.routes[static_cast<std::size_t>(slot - converged.dests.begin())];
+    const topo::AsNode& dn = g.node(dest);
+    tables_built += dn.has_v6 ? 2u : 1u;
+    for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
+      bgp::Rib& rib = world.vantage_points[v].rib;
+      if (dr.v4[v]) {
+        for (const auto& p : dn.v4_prefixes) rib.add_v4(p, *dr.v4[v]);
+        routes_installed += dn.v4_prefixes.size();
+      }
+      if (!dr.v6.empty() && dr.v6[v]) {
+        for (const auto& p : dn.v6_prefixes) {
+          // 6to4 space is covered by the anycast 2002::/16 route above.
+          if (p.network().is_6to4()) continue;
+          rib.add_v6(p, *dr.v6[v]);
+          ++routes_installed;
         }
       }
     }
@@ -325,6 +358,21 @@ void build_ribs(core::World& world, std::size_t threads) {
   auto& metrics = obs::metrics();
   metrics.add(metrics.counter("rib.dest_tables"), tables_built);
   metrics.add(metrics.counter("rib.routes"), routes_installed);
+}
+
+}  // namespace
+
+void build_ribs(core::World& world, std::size_t threads) {
+  const obs::TraceSpan rib_span(obs::Stage::kRibBuild);
+  core::ThreadPool pool(resolve_build_threads(threads));
+  const std::vector<bool> hosted = hosting_ases(world.graph, world.catalog);
+  std::vector<Asn> dests;
+  for (std::size_t i = 0; i < hosted.size(); ++i) {
+    if (hosted[i]) dests.push_back(static_cast<Asn>(i));
+  }
+  install_routes(world,
+                 converge_routes(world.graph, vantage_asns(world), std::move(dests), pool),
+                 hosted);
 }
 
 core::World build_world(const WorldSpec& spec) {
@@ -351,23 +399,58 @@ core::World build_world(const WorldSpec& spec) {
   util::Rng addr_rng = rng.child("addresses");
   topo::assign_addresses(world.graph, spec.addresses, addr_rng);
 
-  web::CatalogParams cat_params = spec.catalog;
-  cat_params.w6d_round = spec.w6d_round;
-  util::Rng cat_rng = rng.child("catalog");
-  world.catalog = web::SiteCatalog::generate(world.graph, cat_params, cat_rng);
-
+  // Tunnels only add links and the catalog reads only AS nodes, so the
+  // overlay goes first: the graph is frozen before both nodes below read it.
   if (spec.tunnels) {
     util::Rng tun_rng = rng.child("tunnels");
     apply_tunnel_overlay(world.graph, spec.tunnel_relays,
                          spec.tunnel_extra_latency_ms, spec.tunnel_bandwidth_factor,
                          tun_rng, spec.build_threads);
   }
-
   world.origins = topo::OriginMap::build(world.graph);
+
+  web::CatalogParams cat_params = spec.catalog;
+  cat_params.w6d_round = spec.w6d_round;
   world.w6d_round = spec.w6d_round;
   world.num_rounds = static_cast<std::uint32_t>(cat_params.num_rounds);
 
-  build_ribs(world, spec.build_threads);
+  // Two concurrent nodes: the catalog on its own RNG stream, and the
+  // route convergence toward every hosting candidate (the catalog's
+  // destinations are a subset of them, known only once it is done).
+  // Bodies must not throw, so each parks its exception for the join.
+  // With one build thread both run on the caller, catalog first.
+  core::ThreadPool pool(resolve_build_threads(spec.build_threads));
+  core::Executor graph(pool, /*record_metrics=*/false);
+  std::exception_ptr failure[2];
+  ConvergedRoutes converged;
+  std::uint64_t rib_ns = 0;
+  graph.add(0, [&] {
+    try {
+      util::Rng cat_rng = rng.child("catalog");
+      world.catalog = web::SiteCatalog::generate(world.graph, cat_params, cat_rng);
+    } catch (...) {
+      failure[0] = std::current_exception();
+    }
+  });
+  graph.add(1, [&] {
+    try {
+      const std::uint64_t t0 = obs::now_ns();
+      converged = converge_routes(world.graph, vantage_asns(world),
+                                  web::hosting_candidates(world.graph).all(), pool);
+      rib_ns = obs::now_ns() - t0;
+    } catch (...) {
+      failure[1] = std::current_exception();
+    }
+  });
+  graph.run();
+  for (const std::exception_ptr& e : failure) {
+    if (e) std::rethrow_exception(e);
+  }
+
+  // rib_build spans the convergence node and the install.
+  const std::uint64_t t0 = obs::now_ns();
+  install_routes(world, converged, hosting_ases(world.graph, world.catalog));
+  obs::metrics().record_span(obs::Stage::kRibBuild, rib_ns + (obs::now_ns() - t0));
   return world;
 }
 

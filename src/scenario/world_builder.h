@@ -93,10 +93,11 @@ struct WorldSpec {
   /// Evolving-world delta stream; disabled by default (frozen world).
   EvolutionSpec evolution;
 
-  /// Worker threads for world construction (RIB convergence, tunnel relay
-  /// tables); 0 = hardware concurrency. Output is bit-identical for every
-  /// value — per-destination route tables are independent and merged in
-  /// destination-ASN order, never completion order.
+  /// Worker threads for world construction (tunnel relay tables, and RIB
+  /// convergence alongside the catalog); 0 = hardware concurrency. Output
+  /// is bit-identical for every value — per-destination route tables are
+  /// independent and installed in destination-ASN order, never completion
+  /// order; with 1 the whole build runs on the calling thread.
   std::size_t build_threads = 0;
 };
 
@@ -104,9 +105,13 @@ struct WorldSpec {
 ///  1. generate the AS topology,
 ///  2. attach the vantage-point ASes per their uplink specs,
 ///  3. assign addresses,
-///  4. generate the site catalog,
-///  5. lay the tunnel overlay over v6 islands,
-///  6. converge BGP and fill every vantage point's RIB.
+///  4. lay the tunnel overlay over v6 islands (the graph is final here),
+///  5. concurrently: generate the site catalog, and converge BGP toward
+///     every hosting candidate (web::hosting_candidates),
+///  6. fill every vantage point's RIB with the routes toward the ASes the
+///     catalog actually hosts in.
+/// A ConfigError from any stage (e.g. a negative catalog round weight)
+/// propagates to the caller at every build_threads value.
 [[nodiscard]] core::World build_world(const WorldSpec& spec);
 
 /// Statistics of the tunnel overlay (exposed for tests and DESIGN docs).
@@ -124,8 +129,9 @@ TunnelStats apply_tunnel_overlay(topo::AsGraph& graph, std::size_t num_relays,
                                  util::Rng& rng, std::size_t threads = 0);
 
 /// Fill every vantage point's RIB by converging BGP toward every AS that
-/// hosts content (exposed for custom scenarios). Destination route tables
-/// are computed in parallel on `threads` workers (0 = hardware) and merged
+/// hosts content (exposed for custom scenarios; build_world installs the
+/// same routes through the same code). Destination route tables are
+/// computed in parallel on `threads` workers (0 = hardware) and installed
 /// serially in destination-ASN order, so the resulting RIBs are
 /// bit-identical across thread counts.
 void build_ribs(core::World& world, std::size_t threads = 0);

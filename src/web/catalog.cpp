@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <iterator>
 #include <numeric>
 
 #include "ip/allocator.h"
@@ -20,28 +21,43 @@ double RankAdoption::for_rank(std::uint32_t rank) const {
   return rest;
 }
 
+HostingCandidates hosting_candidates(const topo::AsGraph& graph) {
+  HostingCandidates c;
+  for (std::size_t i = 0; i < graph.num_ases(); ++i) {
+    const topo::AsNode& n = graph.node(static_cast<topo::Asn>(i));
+    if (n.is_cdn) {
+      c.cdns.push_back(n.asn);
+    } else if (n.tier == topo::Tier::kStub) {
+      c.hosts.push_back(n.asn);
+    }
+  }
+  if (c.hosts.empty()) {
+    for (std::size_t i = 0; i < graph.num_ases(); ++i) {
+      c.hosts.push_back(static_cast<topo::Asn>(i));
+    }
+  }
+  return c;
+}
+
+std::vector<topo::Asn> HostingCandidates::all() const {
+  std::vector<topo::Asn> out;
+  out.reserve(hosts.size() + cdns.size());
+  std::set_union(hosts.begin(), hosts.end(), cdns.begin(), cdns.end(),
+                 std::back_inserter(out));
+  return out;
+}
+
 namespace {
 
-/// Zipf-weighted hosting AS sampler: candidate ASes (stubs, plus transits
-/// with reduced weight) ordered by a random shuffle, with weight 1/i^s —
-/// concentrating sites on a few big hosting providers.
+/// Zipf-weighted hosting AS sampler: the hosting candidates ordered by
+/// a random shuffle, with weight 1/i^s — concentrating sites on a few big
+/// hosting providers.
 class HostSampler {
  public:
   HostSampler(const topo::AsGraph& graph, double zipf_s, util::Rng& rng) {
-    for (std::size_t i = 0; i < graph.num_ases(); ++i) {
-      const topo::AsNode& n = graph.node(static_cast<topo::Asn>(i));
-      if (n.is_cdn) {
-        cdns_.push_back(n.asn);
-        continue;
-      }
-      if (n.tier == topo::Tier::kStub) candidates_.push_back(n.asn);
-    }
-    if (candidates_.empty()) {
-      // Degenerate graphs (tests) host everywhere.
-      for (std::size_t i = 0; i < graph.num_ases(); ++i) {
-        candidates_.push_back(static_cast<topo::Asn>(i));
-      }
-    }
+    HostingCandidates c = hosting_candidates(graph);
+    candidates_ = std::move(c.hosts);
+    cdns_ = std::move(c.cdns);
     if (candidates_.empty()) throw ConfigError("no hosting candidates in graph");
     rng.shuffle(candidates_);
     cumulative_.reserve(candidates_.size());
@@ -328,11 +344,24 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
 }
 
 void SiteCatalog::index_schedule() {
+  bool supplement_seen = false;
+  std::uint32_t last_first_seen = 0;
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     const Site& s = sites_[i];
     // Every id-keyed lookup — site(), the work lists, the monitors'
     // resolved-site tables — reads the row at position id.
     V6MON_REQUIRE(s.id == i, "site id != catalog position");
+    // The listed ranked sites of a round are a rank prefix (ranks
+    // 1..listed_at(round)): ranked rows lead, rank == id + 1, in
+    // first-seen order. analysis::fig3a_buckets counts on it.
+    if (s.from_dns_cache) {
+      supplement_seen = true;
+    } else {
+      V6MON_REQUIRE(!supplement_seen && s.rank == s.id + 1 &&
+                        s.first_seen_round >= last_first_seen,
+                    "ranked sites must lead the catalog in rank and first-seen order");
+      last_first_seen = s.first_seen_round;
+    }
     auto& counts = s.from_dns_cache ? listed_supplement_ : listed_ranked_;
     if (s.first_seen_round >= counts.size()) counts.resize(s.first_seen_round + 1, 0);
     ++counts[s.first_seen_round];

@@ -109,6 +109,25 @@ struct CatalogParams {
   double hosting_zipf_s = 1.05;
 };
 
+/// The ASes SiteCatalog::generate may host a site presence in, each list
+/// in ascending ASN order. Every hosting AS a catalog names (a site's v4
+/// and v6 hosts, DL and W6D origins, relocation hosts) is in one of them,
+/// so a route computation toward `all()` covers any catalog of the graph
+/// before the catalog exists.
+struct HostingCandidates {
+  /// Non-CDN stubs; every AS when the graph has none (degenerate test
+  /// graphs host everywhere).
+  std::vector<topo::Asn> hosts;
+  std::vector<topo::Asn> cdns;
+
+  /// hosts and cdns merged, ascending, each AS once.
+  [[nodiscard]] std::vector<topo::Asn> all() const;
+};
+
+/// The hosting candidates of `graph` (the one definition generate() and
+/// the world builder's route destinations share).
+[[nodiscard]] HostingCandidates hosting_candidates(const topo::AsGraph& graph);
+
 /// Where a site's presences live at a given round. Usually constant; a
 /// site flagged `step_from_path_change` relocates (new hosting AS and
 /// addresses) at `step_round`, so its performance step coincides with a

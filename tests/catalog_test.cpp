@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/tables.h"
@@ -319,6 +321,23 @@ double walk_reachability(const SiteCatalog& cat, std::uint32_t round) {
 /// Every index answer equals the row walk's, for rounds 0..last_round and
 /// both supplement settings. Doubles compare exactly: equal integer counts
 /// divide to equal bits.
+/// Fig. 3a's rank buckets by a walk over every row (sites, dual-stack).
+std::vector<std::pair<std::size_t, std::size_t>> walk_fig3a(const SiteCatalog& cat,
+                                                            std::uint32_t round) {
+  const std::uint32_t max_rank[] = {10, 100, 1'000, 10'000, 100'000, 0xffffffffu};
+  std::vector<std::pair<std::size_t, std::size_t>> buckets;
+  for (const std::uint32_t cap : max_rank) {
+    std::size_t sites = 0, v6 = 0;
+    for (const Site& s : cat.sites()) {
+      if (s.from_dns_cache || s.rank == 0 || s.rank > cap || !s.in_list_at(round)) continue;
+      ++sites;
+      if (s.dual_stack_at(round)) ++v6;
+    }
+    buckets.emplace_back(sites, v6);
+  }
+  return buckets;
+}
+
 void expect_index_matches_rows(const SiteCatalog& cat, std::uint32_t last_round) {
   std::vector<std::uint32_t> v6_ids;
   for (const Site& s : cat.sites()) {
@@ -340,6 +359,17 @@ void expect_index_matches_rows(const SiteCatalog& cat, std::uint32_t last_round)
     EXPECT_EQ(fig1[r].round, r);
     EXPECT_EQ(fig1[r].listed, walk_listed(cat, r, false));
     EXPECT_EQ(fig1[r].reachability, reachability);
+    const auto fig3a = analysis::fig3a_buckets(cat, r);
+    const auto walked = walk_fig3a(cat, r);
+    ASSERT_EQ(fig3a.size(), walked.size());
+    for (std::size_t b = 0; b < walked.size(); ++b) {
+      EXPECT_EQ(fig3a[b].sites, walked[b].first) << fig3a[b].label;
+      EXPECT_EQ(fig3a[b].reachability,
+                walked[b].first == 0 ? 0.0
+                                     : static_cast<double>(walked[b].second) /
+                                           static_cast<double>(walked[b].first))
+          << fig3a[b].label;
+    }
   }
 }
 
@@ -387,6 +417,55 @@ TEST(SiteCatalog, ScheduleIndexMatchesRowWalkAcrossGrants) {
     SCOPED_TRACE("after grants");
     expect_index_matches_rows(cat, last + 2);
   }
+}
+
+TEST(HostingCandidates, CoverEveryHostingPresence) {
+  World w;
+  util::Rng rng(3);
+  const SiteCatalog cat = SiteCatalog::generate(w.graph, small_params(), rng);
+  const HostingCandidates c = hosting_candidates(w.graph);
+  ASSERT_FALSE(c.cdns.empty());
+  for (const topo::Asn a : c.hosts) {
+    EXPECT_EQ(w.graph.node(a).tier, topo::Tier::kStub);
+    EXPECT_FALSE(w.graph.node(a).is_cdn);
+  }
+  for (const topo::Asn a : c.cdns) EXPECT_TRUE(w.graph.node(a).is_cdn);
+  const std::vector<topo::Asn> all = c.all();
+  EXPECT_EQ(all.size(), c.hosts.size() + c.cdns.size());
+  EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
+  const auto candidate = [&all](topo::Asn a) {
+    return std::binary_search(all.begin(), all.end(), a);
+  };
+  std::size_t relocated = 0;
+  for (const Site& s : cat.sites()) {
+    EXPECT_TRUE(candidate(s.v4_as)) << s.id;
+    if (s.v6_from_round != kNever) {
+      EXPECT_TRUE(candidate(s.v6_as)) << s.id;
+    }
+    if (const Hosting* h = cat.relocation(s.id)) {
+      ++relocated;
+      EXPECT_TRUE(candidate(h->v4_as)) << s.id;
+      if (h->v6_as != topo::kNoAs) {
+        EXPECT_TRUE(candidate(h->v6_as)) << s.id;
+      }
+    }
+  }
+  EXPECT_GT(relocated, 0u);
+}
+
+TEST(HostingCandidates, GraphWithoutStubsHostsEverywhere) {
+  util::Rng rng(4);
+  topo::TopologyParams tp;
+  tp.num_tier1 = 4;
+  tp.num_transit = 20;
+  tp.num_stub = 0;
+  const topo::AsGraph graph = topo::generate_topology(tp, rng);
+  const HostingCandidates c = hosting_candidates(graph);
+  ASSERT_FALSE(c.cdns.empty());
+  ASSERT_EQ(c.hosts.size(), graph.num_ases());
+  const std::vector<topo::Asn> all = c.all();
+  ASSERT_EQ(all.size(), graph.num_ases());  // the CDNs appear once
+  for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], i);
 }
 
 }  // namespace

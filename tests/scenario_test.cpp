@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "bgp/route_computer.h"
 #include "scenario/paper.h"
@@ -129,6 +131,90 @@ TEST(WorldBuilder, TunnelMetricsDeriveFromUnderlay) {
     EXPECT_DOUBLE_EQ(l.tunnel_bandwidth_factor, 0.85);
     EXPECT_FALSE(l.in_v4);
     EXPECT_TRUE(l.in_v6);
+  }
+}
+
+/// Every route of every VP's RIB, one line each, in trie order.
+std::string rib_routes(const core::World& world) {
+  std::string out;
+  for (const core::VantagePoint& vp : world.vantage_points) {
+    const auto line = [&](const auto& prefix, const bgp::RibEntry& e) {
+      out += vp.name + ' ' + prefix.to_string() + " AS" + std::to_string(e.origin) + ':';
+      for (const topo::Asn hop : e.as_path) out += ' ' + std::to_string(hop);
+      out += '\n';
+    };
+    vp.rib.for_each_v4(line);
+    vp.rib.for_each_v6(line);
+  }
+  return out;
+}
+
+/// build_world converges toward every hosting candidate while the catalog
+/// generates and installs the catalog's hosts; build_ribs converges toward
+/// those hosts alone. Every path and thread count must give the same RIBs,
+/// route by route. Returns the serial world.
+core::World expect_same_ribs(WorldSpec spec) {
+  spec.build_threads = 1;
+  core::World serial = build_world(spec);
+  spec.build_threads = 4;
+  const core::World parallel = build_world(spec);
+  const std::string reference = rib_routes(serial);
+  EXPECT_FALSE(reference.empty());
+  EXPECT_EQ(rib_routes(parallel), reference);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "build_ribs threads=" << threads);
+    for (core::VantagePoint& vp : serial.vantage_points) vp.rib = bgp::Rib();
+    build_ribs(serial, threads);
+    EXPECT_EQ(rib_routes(serial), reference);
+  }
+  return serial;
+}
+
+TEST(WorldBuilder, RibsIdenticalAcrossThreadsAndRebuild) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    WorldSpec spec = paper_spec(seed, 0.05);
+    spec.catalog.initial_sites = 3000;
+    spec.catalog.churn_per_round = 40;
+    spec.catalog.dns_cache_sites = 500;
+    const core::World world = expect_same_ribs(spec);
+    // The spec must exercise every kind of hosting presence.
+    std::size_t relocated = 0, supplement = 0, tunnels = 0;
+    for (const web::Site& s : world.catalog.sites()) {
+      if (world.catalog.relocation(s.id) != nullptr) ++relocated;
+      if (s.from_dns_cache) ++supplement;
+    }
+    for (std::uint32_t id = 0; id < world.graph.num_links(); ++id) {
+      if (world.graph.link(id).v6_tunnel) ++tunnels;
+    }
+    EXPECT_GT(relocated, 0u);
+    EXPECT_GT(supplement, 0u);
+    EXPECT_GT(tunnels, 0u);
+    EXPECT_TRUE(std::any_of(world.vantage_points.begin(), world.vantage_points.end(),
+                            [](const core::VantagePoint& vp) {
+                              return vp.uses_dns_cache_supplement;
+                            }));
+  }
+}
+
+TEST(WorldBuilder, RibsIdenticalWithoutStubs) {
+  // Only the vantage-point stubs and the CDNs can host.
+  WorldSpec spec = tiny_spec(8);
+  spec.topology.num_stub = 0;
+  const core::World world = expect_same_ribs(spec);
+  for (const web::Site& s : world.catalog.sites()) {
+    EXPECT_TRUE(s.v4_as == world.vantage_points[0].asn || world.graph.node(s.v4_as).is_cdn);
+  }
+}
+
+TEST(WorldBuilder, CatalogConfigErrorCrossesTheBuildGraph) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    WorldSpec spec = tiny_spec(6);
+    spec.catalog.round_weights.assign(spec.catalog.num_rounds + 1, 1.0);
+    spec.catalog.round_weights[3] = -0.5;
+    spec.build_threads = threads;
+    EXPECT_THROW((void)build_world(spec), ConfigError);
   }
 }
 
