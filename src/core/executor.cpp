@@ -70,8 +70,7 @@ struct Executor::Sched {
   }
 };
 
-Executor::Executor(ThreadPool& pool, bool record_metrics)
-    : pool_(pool), record_metrics_(record_metrics) {}
+Executor::Executor(ThreadPool& pool) : pool_(pool) {}
 Executor::~Executor() = default;
 
 Executor::NodeId Executor::add(std::uint64_t key, std::function<void()> body) {
@@ -129,7 +128,7 @@ void Executor::execute_ready(const std::shared_ptr<Sched>& sched, NodeId id,
     {
       util::LockGuard lock(sched->mu);
       if (stolen) ++sched->stolen;
-      const bool stamp = record_metrics_ && metrics.enabled();
+      const bool stamp = metrics.enabled();
       for (const NodeId succ : node.successors) {
         V6MON_ASSERT(nodes_[succ].unmet > 0, "Executor unmet underflow");
         if (--nodes_[succ].unmet == 0) {
@@ -195,8 +194,7 @@ void Executor::run() {
   roots_ = root_count();  // snapshot before execution consumes unmet
   ran_ = true;
   auto& metrics = obs::metrics();
-  const bool record = record_metrics_ && metrics.enabled();
-  if (record) {
+  if (metrics.enabled()) {
     const ExecutorMetricIds& ids = executor_metric_ids();
     metrics.add(ids.nodes, nodes_.size());
     metrics.add(ids.edges, edges_);
@@ -207,11 +205,11 @@ void Executor::run() {
 
   const auto sched = std::make_shared<Sched>();
   std::size_t initial_ready = 0;
-  NodeId first = kNoNode;
   {
     util::LockGuard lock(sched->mu);
     sched->remaining = nodes_.size();
-    const std::uint64_t start_ns = record ? obs::now_ns() : 0;
+    const bool stamp = metrics.enabled();
+    const std::uint64_t start_ns = stamp ? obs::now_ns() : 0;
     for (NodeId id = 0; id < nodes_.size(); ++id) {
       if (nodes_[id].unmet == 0) {
         nodes_[id].ready_ns = start_ns;
@@ -219,14 +217,10 @@ void Executor::run() {
         ++initial_ready;
       }
     }
-    // The caller's own root, popped before any helper exists: the first
-    // root in dispatch order always runs on the calling thread (the world
-    // build relies on it to keep the catalog's allocations there).
-    if (initial_ready > 0) first = sched->pop_ready();
   }
   V6MON_REQUIRE(initial_ready > 0, "Executor graph has no root node");
 
-  // Offer the other roots to the pool.
+  // The caller takes one root itself; offer the rest to the pool.
   if (pool_.thread_count() > 1 && initial_ready > 1) {
     for (std::size_t i = 1; i < initial_ready; ++i) {
       pool_.submit([this, sched] {
@@ -239,8 +233,6 @@ void Executor::run() {
       });
     }
   }
-
-  execute_ready(sched, first, /*stolen=*/false);
 
   // Caller participation loop: execute ready nodes until the graph is
   // done, sleeping only while every runnable node is on a pool worker.
@@ -269,7 +261,7 @@ void Executor::run() {
     util::LockGuard lock(sched->mu);
     stolen_ = sched->stolen;
   }
-  if (record) {
+  if (metrics.enabled()) {
     metrics.set_gauge("executor.nodes_stolen", static_cast<double>(stolen_));
   }
 }

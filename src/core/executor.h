@@ -24,9 +24,8 @@ namespace v6mon::core {
 ///    concurrently running bodies is still up to the OS; bodies must be
 ///    schedule-independent, which the campaign's per-(vp, round, site)
 ///    RNG keying already guarantees.)
-///  * The calling thread participates: it executes ready nodes itself,
-///    always starting with the first root in dispatch order, and only
-///    ever sleeps while some node is running on a pool worker.
+///  * The calling thread participates: it executes ready nodes itself
+///    and only ever sleeps while some node is running on a pool worker.
 ///    With a 1-thread pool no helpers are enqueued at all and the graph
 ///    runs entirely on the caller, in exact (key, NodeId) order — the
 ///    serial reference schedule.
@@ -47,11 +46,7 @@ class Executor {
   using NodeId = std::uint32_t;
   static constexpr NodeId kNoNode = ~NodeId{0};
 
-  /// `record_metrics = false` keeps the graph out of the executor.*
-  /// metrics: they describe the campaign's control-flow layer, and the
-  /// world build's two-node graph (scenario::build_world) is not part
-  /// of it.
-  explicit Executor(ThreadPool& pool, bool record_metrics = true);
+  explicit Executor(ThreadPool& pool);
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
   ~Executor();
@@ -109,7 +104,6 @@ class Executor {
   std::size_t roots_ = 0;
   std::size_t stolen_ = 0;
   bool ran_ = false;
-  bool record_metrics_ = true;
 };
 
 }  // namespace v6mon::core

@@ -1,12 +1,12 @@
 #include "scenario/world_builder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <optional>
 #include <thread>
 
 #include "bgp/route_computer.h"
-#include "core/executor.h"
 #include "core/thread_pool.h"
 #include "obs/metrics.h"
 #include "util/contracts.h"
@@ -110,6 +110,14 @@ Asn attach_vantage_as(AsGraph& g, const VantageSpec& spec,
   return asn;
 }
 
+std::atomic<BuildWorkProbe> build_work_probe{nullptr};
+
+void note_build_work(BuildWork work) {
+  if (const BuildWorkProbe probe = build_work_probe.load(std::memory_order_relaxed)) {
+    probe(work);
+  }
+}
+
 std::size_t resolve_build_threads(std::size_t threads) {
   if (threads != 0) return threads;
   return std::max(1u, std::thread::hardware_concurrency());
@@ -123,6 +131,7 @@ std::vector<std::optional<bgp::RouteTable>> compute_tables_parallel(
     const std::vector<Asn>& dests) {
   std::vector<std::optional<bgp::RouteTable>> tables(dests.size());
   core::parallel_index(pool, dests.size(), [&](std::size_t i) {
+    note_build_work(BuildWork::kRoutes);
     tables[i] = bgp::compute_routes_to(view, dests[i]);
   });
   return tables;
@@ -272,6 +281,7 @@ ConvergedRoutes converge_routes(const AsGraph& g, const std::vector<Asn>& vps,
   // shows; each table is reduced to the VPs' paths right away.
   out.routes.resize(dests.size());
   core::parallel_index(pool, dests.size(), [&](std::size_t i) {
+    note_build_work(BuildWork::kRoutes);
     const Asn dest = dests[i];
     const auto reduce = [&](const bgp::RouteTable& table, ip::Family family) {
       std::vector<std::optional<bgp::RibEntry>> paths(vps.size());
@@ -300,8 +310,6 @@ std::vector<bool> hosting_ases(const AsGraph& g, const web::SiteCatalog& catalog
   for (const web::Site& s : catalog.sites()) {
     hosted[s.v4_as] = true;
     if (s.v6_from_round != web::kNever) hosted[s.v6_as] = true;
-    // Only path-change step sites relocate (SiteCatalog::hosting_at).
-    if (s.step_round == web::kNever || !s.step_from_path_change) continue;
     if (const web::Hosting* h = catalog.relocation(s.id)) {
       hosted[h->v4_as] = true;
       if (h->v6_as != topo::kNoAs) hosted[h->v6_as] = true;
@@ -362,6 +370,10 @@ void install_routes(core::World& world, const ConvergedRoutes& converged,
 
 }  // namespace
 
+void set_build_work_probe(BuildWorkProbe probe) {
+  build_work_probe.store(probe, std::memory_order_relaxed);
+}
+
 void build_ribs(core::World& world, std::size_t threads) {
   const obs::TraceSpan rib_span(obs::Stage::kRibBuild);
   core::ThreadPool pool(resolve_build_threads(threads));
@@ -400,7 +412,7 @@ core::World build_world(const WorldSpec& spec) {
   topo::assign_addresses(world.graph, spec.addresses, addr_rng);
 
   // Tunnels only add links and the catalog reads only AS nodes, so the
-  // overlay goes first: the graph is frozen before both nodes below read it.
+  // overlay goes first: the graph is frozen before both tasks below read it.
   if (spec.tunnels) {
     util::Rng tun_rng = rng.child("tunnels");
     apply_tunnel_overlay(world.graph, spec.tunnel_relays,
@@ -414,40 +426,48 @@ core::World build_world(const WorldSpec& spec) {
   world.w6d_round = spec.w6d_round;
   world.num_rounds = static_cast<std::uint32_t>(cat_params.num_rounds);
 
-  // Two concurrent nodes: the catalog on its own RNG stream, and the
-  // route convergence toward every hosting candidate (the catalog's
-  // destinations are a subset of them, known only once it is done).
-  // Bodies must not throw, so each parks its exception for the join.
-  // With one build thread both run on the caller, catalog first.
-  core::ThreadPool pool(resolve_build_threads(spec.build_threads));
-  core::Executor graph(pool, /*record_metrics=*/false);
+  // Fork/join: the route convergence toward every hosting candidate (the
+  // catalog's destinations are a subset of them, known only once it is
+  // done) runs on the pool while the catalog generates on the calling
+  // thread, so the catalog's allocations stay in the caller's malloc
+  // arena. Pool tasks must not throw, so each side parks its exception
+  // for the join. With one build thread the convergence runs on the
+  // caller after the catalog.
   std::exception_ptr failure[2];
   ConvergedRoutes converged;
   std::uint64_t rib_ns = 0;
-  graph.add(0, [&] {
+  {
+    core::ThreadPool pool(resolve_build_threads(spec.build_threads));
+    const auto converge = [&] {
+      try {
+        const std::uint64_t t0 = obs::now_ns();
+        converged = converge_routes(world.graph, vantage_asns(world),
+                                    web::hosting_candidates(world.graph).all(), pool);
+        rib_ns = obs::now_ns() - t0;
+      } catch (...) {
+        failure[1] = std::current_exception();
+      }
+    };
+    const bool overlap = pool.thread_count() > 1;
+    if (overlap) pool.submit(converge);
     try {
+      note_build_work(BuildWork::kCatalog);
       util::Rng cat_rng = rng.child("catalog");
       world.catalog = web::SiteCatalog::generate(world.graph, cat_params, cat_rng);
     } catch (...) {
       failure[0] = std::current_exception();
     }
-  });
-  graph.add(1, [&] {
-    try {
-      const std::uint64_t t0 = obs::now_ns();
-      converged = converge_routes(world.graph, vantage_asns(world),
-                                  web::hosting_candidates(world.graph).all(), pool);
-      rib_ns = obs::now_ns() - t0;
-    } catch (...) {
-      failure[1] = std::current_exception();
+    if (overlap) {
+      pool.wait_idle();  // before shutdown: the convergence still submits helpers
+    } else {
+      converge();
     }
-  });
-  graph.run();
+  }
   for (const std::exception_ptr& e : failure) {
     if (e) std::rethrow_exception(e);
   }
 
-  // rib_build spans the convergence node and the install.
+  // rib_build spans the convergence and the install.
   const std::uint64_t t0 = obs::now_ns();
   install_routes(world, converged, hosting_ases(world.graph, world.catalog));
   obs::metrics().record_span(obs::Stage::kRibBuild, rib_ns + (obs::now_ns() - t0));

@@ -136,4 +136,18 @@ TunnelStats apply_tunnel_overlay(topo::AsGraph& graph, std::size_t num_relays,
 /// bit-identical across thread counts.
 void build_ribs(core::World& world, std::size_t threads = 0);
 
+/// The kinds of work a world build hands out to its threads.
+enum class BuildWork {
+  kCatalog,  ///< SiteCatalog::generate (once per build_world).
+  kRoutes,   ///< One route table: a tunnel relay or a converged destination.
+};
+
+/// When set, build_world, build_ribs and apply_tunnel_overlay call
+/// `probe` on the thread that runs each piece of their work, so tests can
+/// pin where it runs (the catalog on the calling thread; nothing off it
+/// with one build thread). nullptr, the default, turns it off. Change it
+/// only while no build runs.
+using BuildWorkProbe = void (*)(BuildWork work);
+void set_build_work_probe(BuildWorkProbe probe);
+
 }  // namespace v6mon::scenario

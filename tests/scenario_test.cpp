@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "bgp/route_computer.h"
 #include "scenario/paper.h"
@@ -215,6 +219,53 @@ TEST(WorldBuilder, CatalogConfigErrorCrossesTheBuildGraph) {
     spec.catalog.round_weights[3] = -0.5;
     spec.build_threads = threads;
     EXPECT_THROW((void)build_world(spec), ConfigError);
+  }
+}
+
+std::mutex build_work_mu;
+std::vector<std::pair<BuildWork, std::thread::id>> build_work_log;
+
+void log_build_work(BuildWork work) {
+  const std::lock_guard<std::mutex> lock(build_work_mu);
+  build_work_log.emplace_back(work, std::this_thread::get_id());
+}
+
+TEST(WorldBuilder, BuildWorkRunsOnTheExpectedThreads) {
+  struct ProbeGuard {
+    ProbeGuard() { set_build_work_probe(&log_build_work); }
+    ~ProbeGuard() { set_build_work_probe(nullptr); }
+  } guard;
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    build_work_log.clear();
+    WorldSpec spec = tiny_spec(7);
+    spec.build_threads = threads;
+    core::World world = build_world(spec);
+    std::size_t catalogs = 0, routes_off_caller = 0;
+    for (const auto& [work, id] : build_work_log) {
+      if (work == BuildWork::kCatalog) {
+        ++catalogs;
+        // The catalog's allocations stay in the caller's malloc arena.
+        EXPECT_EQ(id, caller);
+      } else if (id != caller) {
+        ++routes_off_caller;
+      }
+    }
+    EXPECT_EQ(catalogs, 1u);
+    EXPECT_GT(build_work_log.size(), catalogs);
+    if (threads == 1) {
+      EXPECT_EQ(routes_off_caller, 0u);
+    } else {
+      // The convergence runs on the pool, alongside the catalog.
+      EXPECT_GT(routes_off_caller, 0u);
+    }
+
+    build_work_log.clear();
+    for (core::VantagePoint& vp : world.vantage_points) vp.rib = bgp::Rib();
+    build_ribs(world, 1);
+    EXPECT_FALSE(build_work_log.empty());
+    for (const auto& [work, id] : build_work_log) EXPECT_EQ(id, caller);
   }
 }
 
