@@ -3,7 +3,7 @@
 // Times the four stages that dominate a full study — world construction,
 // RIB construction, one campaign round, and the analysis pass — at
 // thread counts 1 and 8 (the world build also at 4), so the speedup of the parallel RIB fan-out and
-// the persistent campaign executor is a number in a JSON artifact rather
+// the campaign's per-VP fork/join is a number in a JSON artifact rather
 // than a claim in a commit message:
 //
 //   build/bench/bench_pipeline --benchmark_out=BENCH_pipeline.json
@@ -210,27 +210,26 @@ void BM_FullCampaign(benchmark::State& state) {
 BENCHMARK(BM_FullCampaign)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)
     ->MinTime(1.0);
 
-// --- Multi-VP scheduling: task graph vs per-round fork-join ----------------
+// --- Multi-VP scheduling: per-VP fork/join vs per-round barriers ----------
 //
-// The executor contract: with several vantage points sharing one pool,
-// the dependency-scheduled campaign (per-VP round chains, epoch gates
-// only where the world actually moves) must beat a per-round fork-join
-// loop by >= 25% at 8 threads — tracked as the BM_CampaignMultiVp/8 vs
-// BM_CampaignMultiVpBarriered/8 ratio in the committed JSON and gated by
-// perf-smoke. The fork-join baseline is built from public calls only:
-// run_round(vp, round) for each VP in turn, each round fanning its sites
-// out over the pool and joining before the next, then run_w6d() and
-// finalize() exactly as the graph run does.
+// The campaign contract: with several vantage points sharing one pool,
+// Campaign::run (one fork/join over the VPs per epoch segment, each VP
+// running its rounds back to back) must beat a loop with a barrier after
+// every (vp, round) by >= 25% at 8 threads — tracked as the
+// BM_CampaignMultiVp/8 vs BM_CampaignMultiVpBarriered/8 ratio in the
+// committed JSON and gated by perf-smoke. The barriered baseline is
+// built from public calls only: run_round(vp, round) for each VP in
+// turn, each round fanning its sites out over the pool and joining
+// before the next, then run_w6d() and finalize() exactly as run() does.
 //
 // The fixture is deliberately NOT paper_spec: site throughput under the
 // paper's 200k-site catalog is BM_FullCampaign's job, and there the
 // per-round monitor work amortizes any scheduling cost. This pair
-// isolates the layer this contract is about — the scheduler — in the
-// regime the task graph exists for: many vantage points advancing
-// through many rounds whose individual work lists are small, where the
-// fork-join loop pays a full fork-join (helper submits, sleeper wakeups,
-// 8-shard flush merges) per (vp, round) block and the graph runs each
-// block inline on its node.
+// isolates the scheduling layer in the regime where it matters: many
+// vantage points advancing through many rounds whose individual work
+// lists are small, where the barriered loop pays a full fork-join
+// (helper submits, sleeper wakeups) per (vp, round) block with only one
+// block in flight, while run() keeps every VP's rounds in flight at once.
 
 scenario::WorldSpec multi_vp_spec() {
   scenario::WorldSpec spec;

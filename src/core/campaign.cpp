@@ -1,13 +1,14 @@
 #include "core/campaign.h"
 
 #include <algorithm>
+#include <string>
 #include <thread>
 
-#include "core/executor.h"
 #include "core/thread_pool.h"
 #include "core/world_timeline.h"
 #include "obs/metrics.h"
 #include "util/contracts.h"
+#include "util/error.h"
 #include "web/dns_backend.h"
 
 namespace v6mon::core {
@@ -50,31 +51,6 @@ const CampaignMetricIds& campaign_metric_ids() {
          s == MonitorStatus::kV4DownloadFailed || s == MonitorStatus::kV6DownloadFailed;
 }
 
-/// Dispatch key of a (vantage point, round) node in an *evolving*
-/// campaign: rounds are the major axis so the ready-queue prefers the
-/// pipeline frontier (low rounds finish first, unblocking their
-/// successors and the next epoch gate); the VP index breaks ties
-/// deterministically. Gate nodes take slot 0 of their round, ahead of
-/// the round's VP nodes. run() requires fewer than 2^20 rounds and VPs,
-/// so a 20-bit field can never collide with the next round or VP.
-[[nodiscard]] std::uint64_t node_key(std::uint32_t round, std::size_t vp_slot) {
-  return (static_cast<std::uint64_t>(round) << 20) |
-         static_cast<std::uint64_t>(vp_slot);
-}
-
-/// Dispatch key in a *frozen* campaign (no gate nodes): VPs are the
-/// major axis, so a 1-thread pool runs each vantage point's rounds back
-/// to back and its working set (monitor, resolved-site table, store)
-/// stays cache-hot through consecutive rounds instead of being evicted
-/// by six other VPs every round. Outputs are schedule-invariant either
-/// way (the determinism matrix pins it); the key choice is purely a
-/// locality decision.
-[[nodiscard]] std::uint64_t node_key_vp_major(std::uint32_t round,
-                                              std::size_t vp) {
-  return (static_cast<std::uint64_t>(vp) << 20) |
-         static_cast<std::uint64_t>(round);
-}
-
 }  // namespace
 
 CampaignConfig Campaign::resolve(CampaignConfig config) {
@@ -88,6 +64,18 @@ CampaignConfig Campaign::resolve(CampaignConfig config) {
 
 Campaign::Campaign(const World& world, CampaignConfig config)
     : world_(world), config_(resolve(std::move(config))), pool_(config_.threads) {
+  // The monitor stream key packs (vp * kRoundKeySpan + round) into 32
+  // bits: a round at or past the span would alias the next VP's rounds.
+  const std::uint32_t last_round =
+      world_.w6d_round == web::kNever ? world_.num_rounds
+                                      : std::max(world_.num_rounds, world_.w6d_round);
+  if (last_round >= kRoundKeySpan) {
+    throw ConfigError("campaign rounds must be below " + std::to_string(kRoundKeySpan));
+  }
+  if (world_.vantage_points.size() >= kMaxVantagePoints) {
+    throw ConfigError("campaign vantage points must be below " +
+                      std::to_string(kMaxVantagePoints));
+  }
   for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
     stores_.emplace_back();
     w6d_stores_.emplace_back();
@@ -119,7 +107,7 @@ void Campaign::advance_world(std::uint32_t round) {
 
 void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
                          const std::vector<std::uint32_t>& sites, ResultsDb& db,
-                         std::uint64_t salt, bool inline_sites) {
+                         std::uint64_t salt) {
   V6MON_REQUIRE(vp_index < monitors_.size(), "vantage point index out of range");
   if (sites.empty()) return;
   Monitor& monitor = monitors_[vp_index];
@@ -139,14 +127,16 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   std::vector<Observation> out(sites.size());
   const auto monitor_one = [&](std::size_t i) {
     const web::Site& site = world_.catalog.site(sites[i]);
-    // Every RNG stream is keyed per (site, round, salt) — never by chunk
-    // bounds or worker identity — so scheduling granularity is a pure
-    // performance knob and threads=1 reproduces threads=N bit-for-bit.
-    dns::Resolver resolver(backend, config_.monitor.dns,
-                           util::LazyRng(root.child_seed("dns", salt ^ site.id)));
+    // Every RNG stream is keyed per (vp, round, site ^ salt) — never by
+    // chunk bounds or worker identity — so scheduling granularity is a
+    // pure performance knob and threads=1 reproduces threads=N
+    // bit-for-bit. The constructor keeps round < kRoundKeySpan, so no
+    // two (vp, round) pairs share a key.
     const std::uint64_t key =
-        ((static_cast<std::uint64_t>(vp_index) * 4096 + round) << 32) |
+        ((static_cast<std::uint64_t>(vp_index) * kRoundKeySpan + round) << 32) |
         (site.id ^ salt);
+    dns::Resolver resolver(backend, config_.monitor.dns,
+                           util::LazyRng(root.child_seed("dns", key)));
     out[i] = monitor.monitor_site(site, round, resolver, root.child("monitor", key),
                                   db.paths());
     // Per-VP DNS accounting: resolvers are per-site temporaries, so their
@@ -165,18 +155,7 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
     metrics.add(ids.status_id(out[i].status));
     if (carries_row(out[i].status)) metrics.add(ids.ingest_rows);
   };
-  if (inline_sites) {
-    // Executor-scheduled round with enough concurrent (vp, round) nodes
-    // to cover every pool worker: fanning sites out would only enqueue
-    // helpers that contend with other VPs' nodes for the same workers,
-    // paying a submit + wakeup round-trip per block for nothing. Run the
-    // site loop on this node's thread; the graph supplies the
-    // parallelism. Same fn(i) sequence as parallel_index's serial path,
-    // so the observables cannot tell the difference.
-    for (std::size_t i = 0; i < sites.size(); ++i) monitor_one(i);
-  } else {
-    parallel_index(pool_, sites.size(), monitor_one);
-  }
+  parallel_index(pool_, sites.size(), monitor_one);
   // Append the round's result slots in index order: the store sees the
   // same add sequence whichever worker filled which slot.
   {
@@ -194,11 +173,6 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
 }
 
 void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
-  run_round(vp_index, round, /*inline_sites=*/false);
-}
-
-void Campaign::run_round(std::size_t vp_index, std::uint32_t round,
-                         bool inline_sites) {
   V6MON_REQUIRE(vp_index < world_.vantage_points.size(),
                 "vantage point index out of range");
   V6MON_REQUIRE(!finalized_, "run_round after finalize()");
@@ -268,69 +242,37 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round,
       util::Rng(config_.seed).child("order", vp_index).child("round", round);
   order.shuffle(work);
 
-  run_sites(vp_index, round, work, db, /*salt=*/0, inline_sites);
-}
-
-bool Campaign::graph_covers_pool() const {
-  // With at least half a node per worker the graph keeps the pool busy
-  // on its own: any extra per-node fan-out would merely queue helpers
-  // behind other VPs' nodes. Below that (few VPs, wide pool) the nodes
-  // cannot saturate the workers, so sites still fan out inside each
-  // node — two-level scheduling.
-  return world_.vantage_points.size() >= 2 &&
-         config_.threads < 2 * world_.vantage_points.size();
+  run_sites(vp_index, round, work, db, /*salt=*/0);
 }
 
 void Campaign::run() {
-  // Dependency-graph schedule (DESIGN.md §15). Chain nodes per vantage
-  // point — (vp, r) waits only on (vp, r-1) — so VPs pipeline through
-  // their rounds concurrently. Every *pending* epoch round e gets one
-  // advance_world(e) gate node wedged into all chains: it waits on every
-  // (vp, r < e) node and gates every (vp, r >= e) node — a barrier, but
-  // only at epoch rounds, not at all of them. run_round's own
-  // pending-epoch REQUIRE stays satisfied on every schedule the edges
-  // admit.
+  // One fork/join per epoch segment (DESIGN.md §15). The pending epoch
+  // rounds <= num_rounds cut the campaign into segments [lo, hi): the
+  // world advances to `lo` on this thread while no round is in flight,
+  // then every VP runs its rounds lo..hi-1 in order on the pool, each
+  // round fanning its sites out through a nested parallel_index. All VPs
+  // observe round r under the same world version, so the observation
+  // bytes equal those of advance_world(r) then run_round(vp, r) for
+  // every vp, round by round — every RNG stream is keyed by
+  // (vp, round, site), never by schedule order.
   const std::size_t num_vps = world_.vantage_points.size();
   if (num_vps == 0) return;
-  V6MON_REQUIRE(num_vps < (1u << 20), "vantage point count exceeds key space");
-  V6MON_REQUIRE(world_.num_rounds < (1u << 20), "round count exceeds key space");
-  std::vector<std::uint32_t> gates;
+  const std::uint32_t end = world_.num_rounds + 1;
+  std::vector<std::uint32_t> bounds{0};
   if (timeline_ != nullptr) {
     for (const std::uint32_t r : timeline_->pending_epoch_rounds()) {
-      if (r <= world_.num_rounds) gates.push_back(r);
+      if (r > bounds.back() && r < end) bounds.push_back(r);
     }
   }
-  Executor exec(pool_);
-  const bool inline_sites = graph_covers_pool();
-  std::vector<Executor::NodeId> prev(num_vps, Executor::kNoNode);
-  Executor::NodeId prev_gate = Executor::kNoNode;
-  std::size_t next_gate = 0;
-  for (std::uint32_t round = 0; round <= world_.num_rounds; ++round) {
-    Executor::NodeId gate = Executor::kNoNode;
-    if (next_gate < gates.size() && gates[next_gate] == round) {
-      ++next_gate;
-      gate = exec.add(node_key(round, 0),
-                      [this, round] { advance_world(round); });
-      // Gates chain (epochs apply in order) and wait for every VP's
-      // previous round — the world may only move while no measurement
-      // is in flight.
-      if (prev_gate != Executor::kNoNode) exec.add_edge(prev_gate, gate);
-      for (std::size_t vp = 0; vp < num_vps; ++vp) {
-        if (prev[vp] != Executor::kNoNode) exec.add_edge(prev[vp], gate);
-      }
-      prev_gate = gate;
-    }
-    for (std::size_t vp = 0; vp < num_vps; ++vp) {
-      const std::uint64_t key = gates.empty() ? node_key_vp_major(round, vp)
-                                              : node_key(round, vp + 1);
-      const Executor::NodeId node = exec.add(
-          key, [this, vp, round, inline_sites] { run_round(vp, round, inline_sites); });
-      if (prev[vp] != Executor::kNoNode) exec.add_edge(prev[vp], node);
-      if (gate != Executor::kNoNode) exec.add_edge(gate, node);
-      prev[vp] = node;
-    }
+  bounds.push_back(end);
+  for (std::size_t seg = 0; seg + 1 < bounds.size(); ++seg) {
+    const std::uint32_t lo = bounds[seg];
+    const std::uint32_t hi = bounds[seg + 1];
+    advance_world(lo);
+    parallel_index(pool_, num_vps, [this, lo, hi](std::size_t vp) {
+      for (std::uint32_t round = lo; round < hi; ++round) run_round(vp, round);
+    });
   }
-  exec.run();
 }
 
 void Campaign::run_w6d() {
@@ -344,35 +286,30 @@ void Campaign::run_w6d() {
   for (const web::Site& s : world_.catalog.sites()) {
     if (s.w6d_participant) participants.push_back(s.id);
   }
-  // One node per participating vantage point, no edges: a VP's whole
-  // mini-round sequence is one node, so its mini-rounds stay in order
-  // while different VPs' events run concurrently.
-  Executor exec(pool_);
-  const bool inline_sites = graph_covers_pool();
-  bool any = false;
+  std::vector<std::size_t> vps;
   for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
-    if (world_.vantage_points[vp].start_round > world_.w6d_round) continue;
-    exec.add(node_key(0, vp + 1), [this, vp, &participants, inline_sites] {
-      VpStore& store = w6d_stores_[vp];
-      util::LockGuard epoch(store.epoch_mu);
-      // The monitor (and its resolved-site table) is shared with regular
-      // rounds, and run_sites below may grow the table: take the regular
-      // store's epoch mutex too, so all table mutation for this VP
-      // serializes on one lock order (w6d store first, regular second).
-      util::LockGuard regular_epoch(stores_[vp].epoch_mu);
-      for (std::size_t mini = 0; mini < config_.w6d_mini_rounds; ++mini) {
-        // All mini-rounds happen at the W6D calendar round (same DNS
-        // state) but with independent randomness. Each run_sites call
-        // appends its slots before the next starts, so a site's
-        // mini-round observations land in mini order.
-        run_sites(vp, world_.w6d_round, participants, store.db,
-                  /*salt=*/0x60d00000ULL + mini, inline_sites);
-      }
-    });
-    any = true;
+    if (world_.vantage_points[vp].start_round <= world_.w6d_round) vps.push_back(vp);
   }
-  if (!any) return;
-  exec.run();
+  // One task per participating vantage point: its mini-rounds stay in
+  // order while different VPs' events run concurrently.
+  parallel_index(pool_, vps.size(), [this, &vps, &participants](std::size_t i) {
+    const std::size_t vp = vps[i];
+    VpStore& store = w6d_stores_[vp];
+    util::LockGuard epoch(store.epoch_mu);
+    // The monitor (and its resolved-site table) is shared with regular
+    // rounds, and run_sites below may grow the table: take the regular
+    // store's epoch mutex too, so all table mutation for this VP
+    // serializes on one lock order (w6d store first, regular second).
+    util::LockGuard regular_epoch(stores_[vp].epoch_mu);
+    for (std::size_t mini = 0; mini < config_.w6d_mini_rounds; ++mini) {
+      // All mini-rounds happen at the W6D calendar round (same DNS
+      // state) but with independent randomness. Each run_sites call
+      // appends its slots before the next starts, so a site's
+      // mini-round observations land in mini order.
+      run_sites(vp, world_.w6d_round, participants, store.db,
+                /*salt=*/0x60d00000ULL + mini);
+    }
+  });
 }
 
 void Campaign::finalize() {

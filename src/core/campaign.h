@@ -32,6 +32,15 @@ struct CampaignConfig {
 /// samples, stored separately).
 class Campaign {
  public:
+  /// Rounds per vantage point in the monitor stream key
+  /// (vp * kRoundKeySpan + round): every round, the W6D round included,
+  /// must lie below it, or one VP's rounds would draw another's streams.
+  static constexpr std::uint32_t kRoundKeySpan = 4096;
+  /// Vantage points the 32-bit (vp, round) half of that key can hold.
+  static constexpr std::size_t kMaxVantagePoints = std::size_t{1} << 20;
+
+  /// Throws ConfigError when the world has a round >= kRoundKeySpan or
+  /// kMaxVantagePoints or more vantage points.
   Campaign(const World& world, CampaignConfig config);
 
   /// Evolving-world campaign: the timeline owns the world and advances
@@ -41,16 +50,16 @@ class Campaign {
   /// byte-identical output, no epoch machinery on any path.
   Campaign(WorldTimeline& timeline, CampaignConfig config);
 
-  /// Run all regular rounds for all vantage points as a dependency
-  /// graph: each (vantage point, round) block is an Executor node
-  /// depending on the same VP's previous round, so different VPs' rounds
-  /// pipeline concurrently; a non-empty timeline adds one
-  /// `advance_world(e)` gate node per pending epoch round e, depending
-  /// on every (vp, r < e) node and gating every (vp, r >= e) node — all
-  /// VPs observe round r under the same world version. Observation bytes
-  /// equal those of calling advance_world(r) and then run_round(vp, r)
-  /// for every vp, round by round — every RNG stream is keyed by
-  /// (vp, round, site), never by schedule order.
+  /// Run all regular rounds for all vantage points, one fork/join per
+  /// epoch segment: the pending epoch rounds e <= num_rounds cut the
+  /// rounds into segments [lo, hi); for each, advance_world(lo) on the
+  /// calling thread, then parallel_index over the VPs, each running its
+  /// rounds lo..hi-1 in order (sites fan out through a nested
+  /// parallel_index). All VPs observe round r under the same world
+  /// version, and observation bytes equal those of calling
+  /// advance_world(r) and then run_round(vp, r) for every vp, round by
+  /// round — every RNG stream is keyed by (vp, round, site), never by
+  /// schedule order.
   void run();
 
   /// Apply every pending world epoch with epoch round <= `round`:
@@ -68,7 +77,7 @@ class Campaign {
   void run_round(std::size_t vp_index, std::uint32_t round);
 
   /// Run the World IPv6 Day special event for every vantage point: one
-  /// Executor node per participating VP, each running that VP's
+  /// parallel_index task per participating VP, each running that VP's
   /// mini-rounds in order. No-op when the world has no W6D round.
   void run_w6d();
 
@@ -111,22 +120,12 @@ class Campaign {
     util::Mutex epoch_mu;
   };
 
-  /// run_round for executor nodes: `inline_sites` is graph_covers_pool()
-  /// of the graph the node belongs to (see run_sites).
-  void run_round(std::size_t vp_index, std::uint32_t round, bool inline_sites);
-  /// Monitor `sites` into one result slot each, then append the slots
-  /// to `db` in index order (the caller holds the store's epoch mutex).
-  /// With `inline_sites` the site loop runs on the calling thread instead
-  /// of fanning out through the pool — a pure scheduling choice,
-  /// invisible in every observable.
+  /// Monitor `sites` into one result slot each (fanned out through
+  /// parallel_index), then append the slots to `db` in index order (the
+  /// caller holds the store's epoch mutex).
   void run_sites(std::size_t vp_index, std::uint32_t round,
                  const std::vector<std::uint32_t>& sites, ResultsDb& db,
-                 std::uint64_t salt, bool inline_sites);
-
-  /// Whether executor-scheduled nodes should run their site loop inline
-  /// (when graph-level VP parallelism already covers the pool) or fan
-  /// sites out through parallel_index. Pure scheduling choice.
-  [[nodiscard]] bool graph_covers_pool() const;
+                 std::uint64_t salt);
 
   /// Fill in config.threads when left at 0 (done before pool_ spins up).
   static CampaignConfig resolve(CampaignConfig config);
@@ -137,7 +136,7 @@ class Campaign {
   /// advance_world (quiescent round boundaries).
   WorldTimeline* timeline_ = nullptr;
   CampaignConfig config_;
-  /// One executor for the campaign's lifetime: rounds × VPs × mini-rounds
+  /// One pool for the campaign's lifetime: rounds × VPs × mini-rounds
   /// reuse its workers instead of constructing/joining a pool per
   /// run_sites call. Sites are handed out through parallel_index's atomic
   /// work-stealing counter, not fixed chunks, so a straggler (dual-stack

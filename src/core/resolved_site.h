@@ -61,14 +61,14 @@ struct ResolvedSiteRow {
 /// epoch (slots are *disjoint* across workers), and the epoch's join
 /// barrier publishes the rows to every later round.
 ///
-/// Cross-VP confinement (ISSUE 10): each table is owned by one VP's
-/// Monitor and only reached through it; the campaign executor totally
-/// orders that VP's round nodes with dependency edges, so overlapping
-/// *other* VPs' rounds never touch this table — the protocol above is
-/// unchanged by graph scheduling. The w6d path keeps it true by taking
-/// the regular store's epoch mutex inside the w6d store's
-/// (run_w6d_for_vp), so a VP's W6D mini-rounds and its regular rounds
-/// cannot interleave table growth either.
+/// Cross-VP confinement: each table is owned by one VP's Monitor and
+/// only reached through it; Campaign::run runs that VP's rounds in order
+/// inside one task per epoch segment, so overlapping *other* VPs' rounds
+/// never touch this table — the protocol above is unchanged by VP-level
+/// parallelism. The w6d path keeps it true by taking the regular store's
+/// epoch mutex inside the w6d store's (Campaign::run_w6d), so a VP's W6D
+/// mini-rounds and its regular rounds cannot interleave table growth
+/// either.
 class ResolvedSiteTable {
  public:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;

@@ -33,15 +33,15 @@ enum class EpochAdvanceMode : std::uint8_t { kIncremental, kFullRebuild };
 ///
 /// Not internally synchronized: `advance_to` mutates the world and must
 /// run while no measurement is in flight. A caller driving rounds by hand
-/// advances between rounds; under the campaign's Executor graph the
-/// quiescence is structural — every advance runs inside a gate
-/// node whose edges order it after all (vp, r < e) nodes and before all
-/// (vp, r >= e) nodes, so the advance still executes globally exclusive.
-/// The read-only accessors (`next_epoch_round`, `pending_epoch_rounds`,
-/// `world`, `current_epoch`) are safe to call from concurrently-running
-/// measurement nodes *between* advances: the gate edges (mutex-backed
-/// scheduler bookkeeping) publish each advance's writes to every
-/// successor node, so no reader ever overlaps a writer.
+/// advances between rounds; Campaign::run advances on its calling thread
+/// between two epoch segments, after one segment's parallel_index has
+/// joined and before the next one forks, so the advance executes globally
+/// exclusive. The read-only accessors (`next_epoch_round`,
+/// `pending_epoch_rounds`, `world`, `current_epoch`) are safe to call from
+/// concurrently-running rounds *between* advances: the fork (a mutex-
+/// guarded pool submit, or the same thread) publishes each advance's
+/// writes to every round of the next segment, and the join publishes the
+/// rounds' reads back, so no reader ever overlaps a writer.
 class WorldTimeline {
  public:
   /// `epochs` must have strictly ascending, nonzero rounds (round 0 is
@@ -61,8 +61,8 @@ class WorldTimeline {
   /// Round of the next pending epoch, if any.
   [[nodiscard]] std::optional<std::uint32_t> next_epoch_round() const;
   /// Rounds of every still-pending epoch, strictly ascending (the
-  /// constructor enforces the order). The campaign executor builds one
-  /// world-advance gate node per entry.
+  /// constructor enforces the order). Campaign::run starts one epoch
+  /// segment at each entry.
   [[nodiscard]] std::vector<std::uint32_t> pending_epoch_rounds() const;
 
   void set_advance_mode(EpochAdvanceMode mode) { mode_ = mode; }

@@ -567,5 +567,22 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
   }
 }
 
+// The monitor stream key packs (vp * 4096 + round): a round of 4096
+// would draw exactly VP 1's round-0 streams at VP 0, so the constructor
+// rejects it. The bare World keeps the check free of any build cost.
+TEST(Campaign, RejectsRoundsPastTheStreamKeySpan) {
+  static_assert(Campaign::kRoundKeySpan == 4096);
+  CampaignConfig cfg;
+  cfg.threads = 1;
+  World w;
+  w.num_rounds = 4095;
+  EXPECT_NO_THROW(Campaign(w, cfg));
+  w.num_rounds = 4096;
+  EXPECT_THROW(Campaign(w, cfg), ConfigError);
+  w.num_rounds = 10;
+  w.w6d_round = 4096;  // the W6D mini-rounds draw from the same key
+  EXPECT_THROW(Campaign(w, cfg), ConfigError);
+}
+
 }  // namespace
 }  // namespace v6mon::core

@@ -62,7 +62,7 @@ const World& tiny_world() {
 
 /// Run a complete campaign (regular rounds + W6D + finalize). Heap-held:
 /// Campaign owns a ThreadPool and is therefore not movable. With
-/// `serial_rounds` the regular rounds bypass run()'s executor graph and
+/// `serial_rounds` the regular rounds bypass run()'s per-VP fork/join and
 /// go through run_rounds_serially instead.
 std::unique_ptr<Campaign> run_campaign(const World& world, CampaignConfig cfg,
                                        bool serial_rounds = false) {
@@ -170,12 +170,12 @@ TEST(Determinism, ThreadCountInvisibleUnderFailureInjection) {
   expect_identical_observables(*serial, *parallel);
 }
 
-// --- Executor scheduling matrix --------------------------------------------
+// --- Campaign scheduling matrix --------------------------------------------
 //
-// The task-graph executor is a scheduling layer, not a semantic one. The
+// run()'s per-VP fork/join is a scheduling layer, not a semantic one. The
 // reference cell drives the regular rounds by hand (run_rounds_serially:
-// threads=1, no graph), and run()'s graph must reproduce it byte for
-// byte at threads {1, 8} — observation CSVs, per-round counters, and the
+// threads=1, round-major), and run() must reproduce it byte for byte at
+// threads {1, 4, 8} — observation CSVs, per-round counters, and the
 // analysis tables built on top.
 
 std::unique_ptr<Campaign> run_with(unsigned threads, std::uint64_t seed,
@@ -192,7 +192,7 @@ std::unique_ptr<Campaign> run_with(unsigned threads, std::uint64_t seed,
 
 TEST(Determinism, ExecutorSchedulingInvisible) {
   const auto reference = run_with(1, 2011, 0.0, 0.0, /*serial_rounds=*/true);
-  for (const unsigned threads : {1u, 8u}) {
+  for (const unsigned threads : {1u, 4u, 8u}) {
     SCOPED_TRACE(threads);
     const auto run = run_with(threads, 2011);
     expect_identical_observables(*reference, *run);
@@ -201,11 +201,11 @@ TEST(Determinism, ExecutorSchedulingInvisible) {
 }
 
 // Same matrix under failure injection: the RNG-hungriest paths, now also
-// crossing the executor's pipelined round boundaries (VP-a may be rounds
-// ahead of VP-b when both draw from their streams).
+// crossing run()'s per-VP round loops (VP-a may be rounds ahead of VP-b
+// when both draw from their streams).
 TEST(Determinism, ExecutorSchedulingInvisibleUnderFailureInjection) {
   const auto reference = run_with(1, 404, 0.2, 0.05, /*serial_rounds=*/true);
-  for (const unsigned threads : {1u, 8u}) {
+  for (const unsigned threads : {1u, 4u, 8u}) {
     SCOPED_TRACE(threads);
     const auto run = run_with(threads, 404, 0.2, 0.05);
     expect_identical_observables(*reference, *run);

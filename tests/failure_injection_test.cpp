@@ -67,6 +67,39 @@ TEST(FailureInjection, DnsTimeoutCanMakeDualSiteLookV6Only) {
   EXPECT_GT(campaign.results(0).round_counters(4).v6_only, 0u);
 }
 
+// DNS loss is drawn per (vp, round, site): a dual-stack site that
+// resolves in one round can lose its answers in the next. With nothing
+// but DNS loss injected, a site listed and dual-stack in every round
+// stores a row exactly in the rounds where both of its lookups answered;
+// if the loss draws repeated every round, each such site would store a
+// row in every round or in none.
+TEST(FailureInjection, DnsLossIsRedrawnEveryRound) {
+  CampaignConfig cfg;
+  cfg.seed = 12;
+  cfg.threads = 2;
+  cfg.monitor.dns.timeout_prob = 0.5;
+  Campaign campaign(tiny_world(), cfg);
+  constexpr std::uint32_t kFirst = 1;
+  constexpr std::uint32_t kLast = 6;
+  for (std::uint32_t r = kFirst; r <= kLast; ++r) campaign.run_round(0, r);
+  campaign.finalize();
+  const ResultsDb& db = campaign.results(0);
+  std::size_t dual_sites = 0;
+  std::size_t sometimes_lost = 0;
+  for (const web::Site& site : tiny_world().catalog.sites()) {
+    bool dual_throughout = true;
+    for (std::uint32_t r = kFirst; r <= kLast; ++r) {
+      dual_throughout = dual_throughout && site.in_list_at(r) && site.dual_stack_at(r);
+    }
+    if (!dual_throughout) continue;
+    ++dual_sites;
+    const std::size_t rows = db.series(site.id).size();
+    if (rows > 0 && rows < kLast - kFirst + 1) ++sometimes_lost;
+  }
+  ASSERT_GT(dual_sites, 10u) << "too few dual-stack sites to test anything";
+  EXPECT_GT(sometimes_lost, 0u);
+}
+
 TEST(FailureInjection, DownloadFailuresAreCountedNotFatal) {
   CampaignConfig cfg;
   cfg.seed = 7;

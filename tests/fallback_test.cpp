@@ -293,7 +293,7 @@ const World& tiny_world() {
 }
 
 /// Run a complete campaign; with `serial_rounds` the regular rounds go
-/// through run_rounds_serially instead of run()'s executor graph.
+/// through run_rounds_serially instead of run()'s per-VP fork/join.
 std::unique_ptr<Campaign> run_campaign(const World& world, CampaignConfig cfg,
                                        bool serial_rounds = false) {
   auto campaign = std::make_unique<Campaign>(world, std::move(cfg));

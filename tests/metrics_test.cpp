@@ -20,6 +20,7 @@
 #include "core/campaign.h"
 #include "core/monitor.h"
 #include "scenario/world_builder.h"
+#include "serial_rounds.h"
 #include "util/error.h"
 
 namespace v6mon {
@@ -331,7 +332,10 @@ struct CampaignRun {
   std::string observations;   ///< every store's CSV, concatenated.
 };
 
-CampaignRun run_instrumented(std::size_t threads, bool with_metrics) {
+/// With `serial_rounds` the regular rounds go through
+/// run_rounds_serially instead of run().
+CampaignRun run_instrumented(std::size_t threads, bool with_metrics,
+                             bool serial_rounds = false) {
   // Materialize the shared world while metrics are still off: the lazy
   // first build would otherwise record rib_build counters into whichever
   // run happens to come first, breaking run-to-run comparability.
@@ -347,7 +351,11 @@ CampaignRun run_instrumented(std::size_t threads, bool with_metrics) {
   // reach the registry deterministically).
   cfg.monitor.dns.timeout_prob = 0.05;
   core::Campaign campaign(small_world(), cfg);
-  campaign.run();
+  if (serial_rounds) {
+    core::run_rounds_serially(campaign);
+  } else {
+    campaign.run();
+  }
   campaign.run_w6d();
   campaign.finalize();
   CampaignRun out;
@@ -360,10 +368,11 @@ CampaignRun run_instrumented(std::size_t threads, bool with_metrics) {
 }
 
 TEST(MetricsDeterminism, CountersIdenticalAcrossThreads) {
-  // The reference is a 1-thread run() (the executor.* counters describe
-  // the graph, so a hand-driven serial run is not comparable); the
-  // threads=1 cell re-runs it to pin run-to-run repeatability.
-  const CampaignRun reference = run_instrumented(1, /*with_metrics=*/true);
+  // The reference drives the regular rounds by hand
+  // (run_rounds_serially); run() at every thread count must export the
+  // same counters and observations.
+  const CampaignRun reference =
+      run_instrumented(1, /*with_metrics=*/true, /*serial_rounds=*/true);
   // A campaign this size must actually exercise the counters, or this
   // test compares empty exports: "sites_monitored" must not read 0.
   EXPECT_EQ(reference.counters.find("\"campaign.sites_monitored\":0,"),

@@ -2,7 +2,8 @@
 
 // The serial oracle for campaign schedule tests: every regular round
 // driven through the public per-round calls, round by round, on the
-// calling thread — no executor graph, no gate nodes.
+// calling thread, advancing the world at every round rather than once
+// per epoch segment.
 
 #include <cstdint>
 

@@ -99,7 +99,7 @@ struct EvolvingRun {
 };
 
 /// `serial_rounds` drives the regular rounds through run_rounds_serially
-/// instead of run()'s executor graph.
+/// instead of run()'s per-VP fork/join.
 EvolvingRun run_evolving(const scenario::WorldSpec& spec, CampaignConfig cfg,
                          EpochAdvanceMode mode = EpochAdvanceMode::kIncremental,
                          bool serial_rounds = false) {
@@ -152,8 +152,8 @@ TEST(WorldTimeline, EvolvingCampaignThreadCountInvisible) {
   const scenario::WorldSpec spec = evolving_spec();
   // Reference: the rounds driven by hand, round-major, advancing the
   // world at every round boundary (run_rounds_serially). Every run()
-  // cell — gate-node quiescence instead — must reproduce it byte for
-  // byte, at threads {1, 8}.
+  // cell — advancing only between epoch segments instead — must
+  // reproduce it byte for byte, at threads {1, 4, 8}.
   CampaignConfig ref_cfg;
   ref_cfg.seed = 2011;
   ref_cfg.threads = 1;
@@ -163,7 +163,7 @@ TEST(WorldTimeline, EvolvingCampaignThreadCountInvisible) {
       << "evolving_spec produced no epochs; the matrix tests nothing";
   EXPECT_EQ(reference.timeline->current_epoch(), reference.timeline->num_epochs());
 
-  for (const unsigned threads : {1u, 8u}) {
+  for (const unsigned threads : {1u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     CampaignConfig cfg = ref_cfg;
     cfg.threads = threads;

@@ -1,7 +1,7 @@
-// D007 fixture: bare barriers in campaign control flow. Since ISSUE 10
-// round/epoch ordering lives in the Executor's dependency graph; an
-// inline pool join or cv wait reintroduces the fork-join stall the
-// graph removed. (The selftest lints fixtures as if they were
+// D007 fixture: bare barriers in campaign control flow. Round/epoch
+// ordering is the segment loop in Campaign::run, joined by
+// parallel_index; an inline pool join or cv wait also waits on
+// unrelated pool work. (The selftest lints fixtures as if they were
 // src/core/campaign.cpp — in the real tree the rule fires only there.)
 
 struct Pool {

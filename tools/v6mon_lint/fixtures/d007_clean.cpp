@@ -1,26 +1,31 @@
-// D007 fixture (clean): campaign ordering expressed as Executor
-// dependency edges, plus the ALLOW escape for a join that is not a
-// scheduling barrier. Free functions named wait/join (no member access)
-// never match.
+// D007 fixture (clean): campaign ordering expressed as the segment loop
+// — advance between segments, one parallel_index fork/join per segment
+// — plus the ALLOW escape for a join that is not a scheduling barrier.
+// Free functions named wait/join (no member access) never match.
 
-using NodeId = unsigned;
+#include <cstddef>
+#include <functional>
 
-struct Executor {
-  NodeId add(unsigned long long key, void (*body)());
-  void add_edge(NodeId before, NodeId after);
-  void run();
-};
+struct Pool {};
 
-void round_body();
-void advance_body();
+void parallel_index(Pool& pool, std::size_t n,
+                    const std::function<void(std::size_t)>& fn);
 
-// Ordering as graph structure: the gate waits on the previous round via
-// an edge, not via a pool join between the two submissions.
-void run_rounds(Executor& exec) {
-  const NodeId prev = exec.add(0, &round_body);
-  const NodeId gate = exec.add(1, &advance_body);
-  exec.add_edge(prev, gate);
-  exec.run();
+void advance_world(unsigned round);
+void run_round(std::size_t vp, unsigned round);
+
+// Ordering as loop structure: the advance runs between two fork/joins,
+// each of which returns only when its own indices have finished.
+void run_segments(Pool& pool, const unsigned* bounds, std::size_t segments,
+                  std::size_t vps) {
+  for (std::size_t seg = 0; seg < segments; ++seg) {
+    const unsigned lo = bounds[seg];
+    const unsigned hi = bounds[seg + 1];
+    advance_world(lo);
+    parallel_index(pool, vps, [lo, hi](std::size_t vp) {
+      for (unsigned round = lo; round < hi; ++round) run_round(vp, round);
+    });
+  }
 }
 
 struct TraceWriter {
@@ -31,7 +36,7 @@ struct TraceWriter {
 // round-scheduling barrier — ALLOW with that reason.
 void finalize(TraceWriter& writer) {
   // V6MON_LINT_ALLOW(D007): teardown drain of the trace writer after
-  // the graph completed — no round ordering depends on it
+  // the last segment completed — no round ordering depends on it
   writer.join();
 }
 

@@ -31,12 +31,14 @@ linter encodes the project's determinism rules as source checks:
         rule scans the surrounding 20 lines) or ALLOW with the lifetime
         argument
   D007  bare pool barrier (wait_idle / cv wait / thread join) in
-        campaign control flow (src/core/campaign.*) — since ISSUE 10
-        round ordering is expressed as Executor dependency edges, and an
-        inline barrier reintroduces the fork-join stalls the task graph
-        removed (and silently re-orders nothing the graph doesn't
-        already order); add an edge, or ALLOW with the reason the join
-        is not a scheduling barrier
+        campaign control flow (src/core/campaign.*) — round and epoch
+        ordering is the segment loop in Campaign::run: advance_world
+        between segments, one parallel_index per segment, which joins
+        exactly its own indices. A bare barrier waits on whatever else
+        the shared pool holds (late helpers of nested site fan-outs)
+        and orders nothing the loop doesn't already order; use
+        parallel_index, or ALLOW with the reason the join is not a
+        scheduling barrier
 
 Engine: a text-level lexer (comments/strings stripped, lines tracked).
 There is deliberately no semantic analysis — the rules are conservative
@@ -545,8 +547,8 @@ def rule_d006(sf: SourceFile) -> list[Finding]:
 
 
 # Files (relative to the repo root) holding campaign control flow. D007
-# applies only here: the Executor's own implementation and the thread
-# pool legitimately wait — the campaign layer must not.
+# applies only here: the thread pool and parallel_index legitimately
+# wait — the campaign layer must not.
 CAMPAIGN_FILES = ("src/core/campaign.cpp", "src/core/campaign.h")
 
 D007_BARRIER_RE = re.compile(r"(?:\.|->)\s*(wait_idle|wait|join)\s*\(")
@@ -561,9 +563,9 @@ def rule_d007(sf: SourceFile) -> list[Finding]:
                 sf.line_of(m.start()),
                 "D007",
                 f"bare '{m.group(1)}' barrier in campaign control flow — "
-                "round and epoch ordering is the Executor's dependency "
-                "graph; express the wait as a graph edge (or ALLOW with "
-                "the reason this join is not a scheduling barrier)",
+                "round and epoch ordering is the segment loop in "
+                "Campaign::run; join through parallel_index (or ALLOW "
+                "with the reason this join is not a scheduling barrier)",
             )
         )
     return findings
